@@ -13,7 +13,6 @@ from .errors import (
     InconsistentError,
     OriginOffAxisError,
     OriginOnLineError,
-    OriginSampleError,
     ParallelLinesError,
     ParallelProjectionError,
     ParseError,
@@ -41,6 +40,7 @@ from .kernel import (
     reflect_through,
     scalar,
     side_of,
+    swap_line,
     translate,
 )
 from .linsolve import solve_unique
@@ -56,7 +56,6 @@ from .double_projection import (
     ProjectionCase,
     ProjectionWitness,
     TransversalScene,
-    axis_intercept,
     oracle_point,
     p_hor,
     p_hor_closed_form,
@@ -83,9 +82,7 @@ from .parallelogram import (
     mu_witness,
     nu,
     nu_closed_form,
-    project_through_origin,
     s_bar_t_bar_closed_form,
-    swap_line,
     swap_scene,
 )
 from .parallelogram_axis import (

@@ -16,6 +16,7 @@ the raw input strings when the run is rejected.  Rationals are rendered as
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -32,27 +33,18 @@ from .figures import (
     Viewport,
     axis_projection_elements,
     axis_strip_elements,
-    render_figure,
     render_svg,
     strip_elements,
     transversal_elements,
 )
-from .kernel import Line, Point
+from .kernel import Point
 from .textio import format_line, format_point, format_scalar, parse_line_spec, parse_point, parse_scalar
 
 
 # ------------------------------------------------------------- JSON helpers
 
-def _scalar_doc(value: Fraction) -> str:
-    return format_scalar(value)
-
-
 def _point_doc(p: Point) -> Dict[str, str]:
     return {"x": format_scalar(p.x), "y": format_scalar(p.y)}
-
-
-def _line_doc(l: Line) -> str:
-    return format_line(l)
 
 
 def _maybe_point_doc(p: Optional[Point]):
@@ -68,6 +60,7 @@ def _emit(args, doc: dict, lines: Sequence[str]) -> None:
 
 
 def _write_svg(args, title: str, elements) -> None:
+    # runs before _emit, so a bad viewport flag prints only its error
     if getattr(args, "svg_out", None):
         vp = _viewport(args, Viewport())
         with open(args.svg_out, "w", encoding="utf-8") as handle:
@@ -78,37 +71,39 @@ _VIEWPORT_FLAGS = ("xmin", "xmax", "ymin", "ymax", "width", "height")
 
 
 def _viewport(args, default: Viewport) -> Viewport:
-    given = {
-        name: getattr(args, name)
-        for name in _VIEWPORT_FLAGS
-        if getattr(args, name, None) is not None
-    }
-    if not given:
+    parsed = {}
+    for name in _VIEWPORT_FLAGS:
+        raw = getattr(args, name, None)
+        if raw is not None:
+            parsed[name] = _pixels(name, raw) if name in ("width", "height") else parse_scalar(raw)
+    if not parsed:
         return default
-    fields = {
-        "xmin": default.xmin,
-        "xmax": default.xmax,
-        "ymin": default.ymin,
-        "ymax": default.ymax,
-        "width": default.width,
-        "height": default.height,
-    }
-    for name, raw in given.items():
-        fields[name] = int(raw) if name in ("width", "height") else parse_scalar(raw)
-    return Viewport(**fields)
+    try:
+        return dataclasses.replace(default, **parsed)
+    except ValueError as err:
+        raise ParseError(
+            f"bad viewport: {err}", 0, "xmin < xmax, ymin < ymax and positive pixel sizes"
+        ) from None
+
+
+def _pixels(name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"bad --{name} {raw!r}", 0, "a whole number of pixels") from None
 
 
 # ------------------------------------------------------------- subcommands
 
 def _projection_witness_doc(w: dp.ProjectionWitness) -> dict:
     return {
-        "rho": _scalar_doc(w.rho),
-        "alpha": _scalar_doc(w.alpha),
-        "beta": _scalar_doc(w.beta),
+        "rho": format_scalar(w.rho),
+        "alpha": format_scalar(w.alpha),
+        "beta": format_scalar(w.beta),
         "s": _point_doc(w.s),
         "t": _point_doc(w.t),
-        "a_or_b_s": _scalar_doc(w.a_or_b_s),
-        "a_or_b_t": _scalar_doc(w.a_or_b_t),
+        "a_or_b_s": format_scalar(w.a_or_b_s),
+        "a_or_b_t": format_scalar(w.a_or_b_t),
         "case_tag": w.case_tag.value,
     }
 
@@ -125,9 +120,9 @@ def _cmd_projection(args) -> int:
     doc = {
         "construction": args.command,
         "inputs": {
-            "g_s": _line_doc(scene.g_s),
-            "g_t": _line_doc(scene.g_t),
-            "l": _line_doc(scene.l),
+            "g_s": format_line(scene.g_s),
+            "g_t": format_line(scene.g_t),
+            "l": format_line(scene.l),
         },
         "outputs": {"p": _point_doc(witness.point)},
         "case": witness.case_tag.value,
@@ -144,12 +139,12 @@ def _cmd_projection(args) -> int:
         f"alpha: {format_scalar(witness.alpha)}",
         f"beta: {format_scalar(witness.beta)}",
     ]
-    _emit(args, doc, lines)
     _write_svg(
         args,
         "Distinguished point on a transversal",
         transversal_elements(scene, [witness], mark_intercepts=True),
     )
+    _emit(args, doc, lines)
     return 0
 
 
@@ -166,15 +161,15 @@ def _cmd_construct_p(args) -> int:
     doc = {
         "construction": "construct-p",
         "inputs": {
-            "g_s": _line_doc(scene.g_s),
-            "g_t": _line_doc(scene.g_t),
-            "l": _line_doc(scene.l),
-            "axis": _line_doc(scene.axis),
+            "g_s": format_line(scene.g_s),
+            "g_t": format_line(scene.g_t),
+            "l": format_line(scene.l),
+            "axis": format_line(scene.axis),
             "origin": _point_doc(scene.origin),
         },
         "outputs": {
             "p": _point_doc(result.p),
-            "axis_p": _line_doc(result.axis_p),
+            "axis_p": format_line(result.axis_p),
             "s_p": _maybe_point_doc(result.s_p),
             "t_p": _maybe_point_doc(result.t_p),
             "s_axis": _point_doc(result.s_axis),
@@ -184,8 +179,8 @@ def _cmd_construct_p(args) -> int:
         "witnesses": {
             "s": _point_doc(result.s),
             "t": _point_doc(result.t),
-            "z_s": _line_doc(result.z_s),
-            "z_t": _line_doc(result.z_t),
+            "z_s": format_line(result.z_s),
+            "z_t": format_line(result.z_t),
             "checks": checks,
         },
     }
@@ -199,10 +194,10 @@ def _cmd_construct_p(args) -> int:
         f"t_p: {format_point(result.t_p) if result.t_p is not None else '-'}",
         f"verified: {sum(checks.values())}/{len(checks)}",
     ]
-    _emit(args, doc, lines)
     _write_svg(
         args, "Construction relative to an axis", axis_projection_elements(result)
     )
+    _emit(args, doc, lines)
     return 0
 
 
@@ -214,7 +209,7 @@ def _strip_witness_doc(w: pg.ParallelogramWitness) -> dict:
         "t_bar": _point_doc(w.t_bar),
         "neg_s_bar": _point_doc(w.neg_s_bar),
         "neg_t_bar": _point_doc(w.neg_t_bar),
-        "connecting_line": _line_doc(w.connecting_line),
+        "connecting_line": format_line(w.connecting_line),
     }
 
 
@@ -243,21 +238,21 @@ def _cmd_strip(args) -> int:
     doc = {
         "construction": args.command,
         "inputs": {
-            "g": _line_doc(scene.g),
-            "p": _line_doc(scene.p),
-            "epsilon": _scalar_doc(scene.epsilon),
+            "g": format_line(scene.g),
+            "p": format_line(scene.p),
+            "epsilon": format_scalar(scene.epsilon),
             "sample": _point_doc(scene.sample),
         },
-        "outputs": {args.command: _scalar_doc(value)},
+        "outputs": {args.command: format_scalar(value)},
         "case": "collapsed" if witness.t_bar == witness.neg_s_bar else "main",
         "witnesses": _strip_witness_doc(witness),
     }
-    _emit(args, doc, _strip_lines(witness, args.command, value))
     _write_svg(
         args,
         "Parallelogram intercept",
         strip_elements(scene, witness, "μ" if swap else "ν"),
     )
+    _emit(args, doc, _strip_lines(witness, args.command, value))
     return 0
 
 
@@ -275,11 +270,11 @@ def _cmd_nu_general(args) -> int:
     doc = {
         "construction": "nu-general",
         "inputs": {
-            "g": _line_doc(scene.g),
-            "p": _line_doc(scene.p),
-            "axis": _line_doc(scene.axis),
+            "g": format_line(scene.g),
+            "p": format_line(scene.p),
+            "axis": format_line(scene.axis),
             "origin": _point_doc(scene.origin),
-            "offset": _scalar_doc(scene.offset),
+            "offset": format_scalar(scene.offset),
             "sample": _point_doc(scene.sample),
         },
         "outputs": {"nu_point": _point_doc(result.nu_point)},
@@ -291,7 +286,7 @@ def _cmd_nu_general(args) -> int:
             "t_bar": _point_doc(result.t_bar),
             "neg_s_bar": _point_doc(result.neg_s_bar),
             "neg_t_bar": _point_doc(result.neg_t_bar),
-            "connecting_line": None if collapsed else _line_doc(result.connecting_line),
+            "connecting_line": None if collapsed else format_line(result.connecting_line),
         },
     }
     lines = [
@@ -303,8 +298,8 @@ def _cmd_nu_general(args) -> int:
         f"connecting: {'-' if collapsed else format_line(result.connecting_line)}",
         f"case: {'collapsed' if collapsed else 'main'}",
     ]
-    _emit(args, doc, lines)
     _write_svg(args, "Parallelogram intercept on an axis", axis_strip_elements(result))
+    _emit(args, doc, lines)
     return 0
 
 
@@ -317,6 +312,9 @@ def _cmd_check(args) -> int:
             print(f"unknown properties: {', '.join(unknown)}", file=sys.stderr)
             print(f"available: {', '.join(PROPERTY_NAMES)}", file=sys.stderr)
             return 2
+    if args.trials < 1:
+        print(f"--trials must be positive, not {args.trials}", file=sys.stderr)
+        return 2
     reports = run_all(args.seed, args.trials, names)
     print(summarize(reports))
     return 0 if all(r.ok for r in reports) else 1

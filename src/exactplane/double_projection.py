@@ -10,10 +10,14 @@ for downward shifts by the y-intercepts (the vertical case).
 
 Each point is computed three independent ways:
 
-* ``p_hor`` / ``p_ver``: the quotient formulas for the ray parameter ``rho``,
-  obtained by eliminating the collinearity factors from the defining
-  equations.  Both eliminations must give the same value; the pair is exposed
-  through ``rho_pair`` / ``rho_tilde_pair`` so that identity can be tested.
+* ``p_hor``: the quotient formulas for the ray parameter ``rho``, obtained by
+  eliminating the collinearity factors from the defining equations.  Both
+  eliminations must give the same value; the pair is exposed through
+  ``rho_pair`` so that identity can be tested.  ``p_ver`` / ``rho_tilde_pair``
+  are the same elimination run on the coordinate-swapped scene (a vertical
+  shift is a horizontal shift with the axes exchanged), mapped back by
+  :func:`~.kernel.swap_point` with ``rho`` re-expressed along the scene's own
+  transversal direction.
 * ``p_hor_closed_form`` / ``p_ver_closed_form``: explicit coordinates in the
   intercept/slope parameters, dispatched over every axis-parallel special
   case.
@@ -26,7 +30,7 @@ Agreement of all three is the module's central correctness property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Tuple
@@ -47,6 +51,8 @@ from .kernel import (
     contains,
     intersect,
     is_parallel,
+    swap_line,
+    swap_point,
     translate,
 )
 from .linsolve import solve_unique
@@ -76,15 +82,6 @@ class TransversalScene:
     def crossings(self) -> Tuple[Point, Point]:
         """S and T: where the transversal meets g_s and g_t."""
         return intersect(self.l, self.g_s), intersect(self.l, self.g_t)
-
-
-def axis_intercept(g: Line, which: str) -> Fraction:
-    """Intercept of ``g`` with the x-axis ("x") or y-axis ("y")."""
-    if which == "x":
-        return g.x_intercept()
-    if which == "y":
-        return g.y_intercept()
-    raise ValueError(f"axis must be 'x' or 'y', not {which!r}")
 
 
 @dataclass(frozen=True)
@@ -129,27 +126,26 @@ def _ray_denominator(w: Direction, p: Point) -> Fraction:
     return value
 
 
+def _eliminate(
+    scene: TransversalScene,
+) -> Tuple[Fraction, Fraction, Point, Point, Direction, Fraction, Fraction]:
+    """Intercepts, crossings, transversal direction and both eliminations of
+    the horizontal-case parameter, each computed once."""
+    a_s, a_t = _require_horizontal_case(scene)
+    s, t = scene.crossings()
+    w = scene.l.direction()
+    rho_1 = (s.y * t.x - s.x * t.y + a_s * t.y) / _ray_denominator(w, t)
+    rho_2 = (s.y * a_t) / _ray_denominator(w, s)
+    return a_s, a_t, s, t, w, rho_1, rho_2
+
+
 def rho_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
     """The two independent eliminations of the horizontal-case parameter.
 
     Both components are always equal on valid input; returning the raw pair
     lets callers assert that instead of trusting it.
     """
-    a_s, a_t = _require_horizontal_case(scene)
-    s, t = scene.crossings()
-    w = scene.l.direction()
-    rho_1 = (s.y * t.x - s.x * t.y + a_s * t.y) / _ray_denominator(w, t)
-    rho_2 = (s.y * a_t) / _ray_denominator(w, s)
-    return rho_1, rho_2
-
-
-def rho_tilde_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
-    """Vertical-case counterpart of :func:`rho_pair`."""
-    b_s, b_t = _require_vertical_case(scene)
-    s, t = scene.crossings()
-    w = scene.l.direction()
-    rho_1 = (s.x * t.y - s.y * t.x + b_s * t.x) / -_ray_denominator(w, t)
-    rho_2 = (s.x * b_t) / -_ray_denominator(w, s)
+    *_, rho_1, rho_2 = _eliminate(scene)
     return rho_1, rho_2
 
 
@@ -159,14 +155,11 @@ def p_hor(scene: TransversalScene) -> ProjectionWitness:
     The witness satisfies: point on ``l``; (point.x - a_s, point.y) equals
     alpha * T (hence lies on Z_T); (point.x - a_t, point.y) equals beta * S.
     """
-    a_s, a_t = _require_horizontal_case(scene)
-    rho_1, rho_2 = rho_pair(scene)
+    a_s, a_t, s, t, w, rho_1, rho_2 = _eliminate(scene)
     if rho_1 != rho_2:
         raise InconsistentError(
             f"horizontal-case eliminations disagree: {rho_1} vs {rho_2}"
         )
-    s, t = scene.crossings()
-    w = scene.l.direction()
     point = translate(s, w, rho_1)
     alpha = point.y / t.y if t.y != 0 else (point.x - a_s) / t.x
     beta = point.y / s.y if s.y != 0 else (point.x - a_t) / s.x
@@ -183,28 +176,42 @@ def p_hor(scene: TransversalScene) -> ProjectionWitness:
     )
 
 
+def _swapped(scene: TransversalScene) -> Tuple[TransversalScene, Fraction]:
+    """The coordinate-swapped scene, and the factor ``f`` that turns a ray
+    parameter along the swapped transversal's direction ``v`` into one along
+    ``w = scene.l.direction()``: swapping ``v`` back gives ``f * w``.
+
+    Both directions are canonical, so that factor is not always 1.
+    """
+    _require_vertical_case(scene)
+    swapped = TransversalScene(
+        g_s=swap_line(scene.g_s), g_t=swap_line(scene.g_t), l=swap_line(scene.l)
+    )
+    w, v = scene.l.direction(), swapped.l.direction()
+    return swapped, (v.dy / w.dx if w.dx != 0 else v.dx / w.dy)
+
+
+def rho_tilde_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
+    """Vertical-case counterpart of :func:`rho_pair`, via the swapped scene."""
+    swapped, factor = _swapped(scene)
+    rho_1, rho_2 = rho_pair(swapped)
+    return rho_1 * factor, rho_2 * factor
+
+
 def p_ver(scene: TransversalScene) -> ProjectionWitness:
-    """The vertical-case point: shifts go down by the y-intercepts."""
-    b_s, b_t = _require_vertical_case(scene)
-    rho_1, rho_2 = rho_tilde_pair(scene)
-    if rho_1 != rho_2:
-        raise InconsistentError(
-            f"vertical-case eliminations disagree: {rho_1} vs {rho_2}"
-        )
-    s, t = scene.crossings()
-    w = scene.l.direction()
-    point = translate(s, w, rho_1)
-    alpha = point.x / t.x if t.x != 0 else (point.y - b_s) / t.y
-    beta = point.x / s.x if s.x != 0 else (point.y - b_t) / s.y
-    return ProjectionWitness(
-        point=point,
-        rho=rho_1,
-        alpha=alpha,
-        beta=beta,
-        s=s,
-        t=t,
-        a_or_b_s=b_s,
-        a_or_b_t=b_t,
+    """The vertical-case point: shifts go down by the y-intercepts.
+
+    It is :func:`p_hor` of the swapped scene, swapped back; alpha, beta and
+    the intercepts carry over unchanged.
+    """
+    swapped, factor = _swapped(scene)
+    w = p_hor(swapped)
+    return replace(
+        w,
+        point=swap_point(w.point),
+        rho=w.rho * factor,
+        s=swap_point(w.s),
+        t=swap_point(w.t),
         case_tag=ProjectionCase.VERTICAL_B,
     )
 

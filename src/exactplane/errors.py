@@ -77,12 +77,6 @@ class ParallelProjectionError(GeomError):
     code = "E_PARALLEL_PROJECTION"
 
 
-class OriginSampleError(GeomError):
-    """A point to be projected coincides with the projection centre."""
-
-    code = "E_ORIGIN_SAMPLE"
-
-
 class ParseError(GeomError):
     """Scene text does not match the input grammar."""
 

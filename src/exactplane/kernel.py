@@ -26,6 +26,7 @@ from .errors import (
     DegenerateTransversalError,
     OriginOffAxisError,
     ParallelLinesError,
+    ParallelProjectionError,
 )
 
 Scalar = Fraction
@@ -72,12 +73,6 @@ class Direction:
 
     def cross(self, other: "Direction") -> Fraction:
         return self.dx * other.dy - self.dy * other.dx
-
-    def scaled(self, t: ScalarLike) -> "Direction":
-        t = scalar(t)
-        if t == 0:
-            raise ValueError("cannot scale a direction to zero")
-        return Direction(self.dx * t, self.dy * t)
 
     def __repr__(self) -> str:
         return f"Direction({self.dx}, {self.dy})"
@@ -188,6 +183,27 @@ def side_of(l: Line, p: Point) -> int:
     return 0
 
 
+def project_through(center: Point, q: Point, target: Line) -> Point:
+    """Central projection: where the line through ``center`` and ``q`` meets
+    ``target``.  A point already on the target is its own image."""
+    ray = line_from_points(center, q)
+    if is_parallel(ray, target):
+        raise ParallelProjectionError(
+            "ray through a shifted source is parallel to the line pair"
+        )
+    return intersect(ray, target)
+
+
+def swap_point(p: Point) -> Point:
+    """Image of a point under swapping the two coordinates."""
+    return Point(p.y, p.x)
+
+
+def swap_line(l: Line) -> Line:
+    """Image of a line under swapping the two coordinates."""
+    return Line(l.b, l.a, l.c)
+
+
 def reflect_through(p: Point, center: Point) -> Point:
     return Point(2 * center.x - p.x, 2 * center.y - p.y)
 
@@ -260,21 +276,6 @@ class Frame:
         tx = -(n00 * self.translation.x + n01 * self.translation.y)
         ty = -(n10 * self.translation.x + n11 * self.translation.y)
         return Frame(((n00, n01), (n10, n11)), Point(tx, ty))
-
-    def compose(self, other: "Frame") -> "Frame":
-        """The map ``p -> self(other(p))``."""
-        (a00, a01), (a10, a11) = self.linear
-        (b00, b01), (b10, b11) = other.linear
-        linear = (
-            (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
-            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
-        )
-        t = self.apply(other.translation)
-        return Frame(linear, t)
-
-    @classmethod
-    def identity(cls) -> "Frame":
-        return cls(((1, 0), (0, 1)), ORIGIN)
 
 
 def frame_to_standard(origin: Point, axis: Line, transversal: Direction) -> Frame:

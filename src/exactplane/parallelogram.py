@@ -31,7 +31,6 @@ from typing import Tuple
 from .errors import (
     CaseUnavailableError,
     InconsistentError,
-    OriginSampleError,
     ParallelProjectionError,
     PreconditionError,
 )
@@ -44,8 +43,11 @@ from .kernel import (
     intersect,
     is_parallel,
     line_from_points,
+    project_through,
     reflect_through,
     scalar,
+    swap_line,
+    swap_point,
 )
 
 
@@ -87,19 +89,6 @@ class ParallelogramWitness:
     connecting_line: Line
 
 
-def project_through_origin(q: Point, target: Line) -> Point:
-    """Central projection: where the ray through the origin and ``q`` meets
-    ``target``.  A point already on the target is its own image."""
-    if q == ORIGIN:
-        raise OriginSampleError("cannot project the origin through itself")
-    ray = line_from_points(ORIGIN, q)
-    if is_parallel(ray, target):
-        raise ParallelProjectionError(
-            "ray through the origin is parallel to the projection line"
-        )
-    return intersect(ray, target)
-
-
 def _require_off_x_axis(scene: StripScene) -> None:
     if scene.sample.y == 0:
         raise PreconditionError("sample point lies on the x-axis")
@@ -115,9 +104,10 @@ def _require_sloped(scene: StripScene) -> Tuple[Fraction, Fraction, Fraction]:
 def build_witness(scene: StripScene) -> ParallelogramWitness:
     """Run the geometric pipeline: shift, project, reflect, connect, intersect."""
     _require_off_x_axis(scene)
+    # the sources share the sample's nonzero y, so neither is the origin
     s, t = scene.shifted_sources()
-    s_bar = project_through_origin(s, scene.p)
-    t_bar = project_through_origin(t, scene.p)
+    s_bar = project_through(ORIGIN, s, scene.p)
+    t_bar = project_through(ORIGIN, t, scene.p)
     neg_s_bar = reflect_through(s_bar, ORIGIN)
     neg_t_bar = reflect_through(t_bar, ORIGIN)
     if t_bar == neg_s_bar:
@@ -226,17 +216,12 @@ def minus_nu_check(scene: StripScene) -> Fraction:
     return intersect(mirror, X_AXIS).x
 
 
-def swap_line(l: Line) -> Line:
-    """Image of a line under swapping the two coordinates."""
-    return Line(l.b, l.a, l.c)
-
-
 def swap_scene(scene: StripScene) -> StripScene:
     return StripScene(
         g=swap_line(scene.g),
         p=swap_line(scene.p),
         epsilon=scene.epsilon,
-        sample=Point(scene.sample.y, scene.sample.x),
+        sample=swap_point(scene.sample),
     )
 
 
@@ -265,13 +250,9 @@ def mu_witness(scene: StripScene) -> ParallelogramWitness:
     if scene.sample.x == 0:
         raise PreconditionError("sample point lies on the y-axis")
     w = build_witness(swap_scene(scene))
-
-    def back(q: Point) -> Point:
-        return Point(q.y, q.x)
-
     return ParallelogramWitness(
-        s=back(w.s), t=back(w.t),
-        s_bar=back(w.s_bar), t_bar=back(w.t_bar),
-        neg_s_bar=back(w.neg_s_bar), neg_t_bar=back(w.neg_t_bar),
+        s=swap_point(w.s), t=swap_point(w.t),
+        s_bar=swap_point(w.s_bar), t_bar=swap_point(w.t_bar),
+        neg_s_bar=swap_point(w.neg_s_bar), neg_t_bar=swap_point(w.neg_t_bar),
         nu=w.nu, connecting_line=swap_line(w.connecting_line),
     )

@@ -32,7 +32,6 @@ from .errors import (
     GeomError,
     InconsistentError,
     OriginOffAxisError,
-    ParallelProjectionError,
     PreconditionError,
 )
 from .kernel import (
@@ -43,11 +42,11 @@ from .kernel import (
     intersect,
     is_parallel,
     line_from_points,
+    project_through,
     reflect_through,
     scalar,
     translate,
 )
-from .textio import format_point
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,11 @@ class AxisParallelogram:
 
 def nu_general(scene: AxisStripScene) -> AxisParallelogram:
     """Run the construction and return all four corners plus the axis point."""
+    # neither source is the center: both lie on the parallel to the axis
+    # through the sample, which the scene keeps off the axis
     s, t = scene.shifted_sources()
-    s_bar = _project_through(scene.origin, s, scene.p)
-    t_bar = _project_through(scene.origin, t, scene.p)
+    s_bar = project_through(scene.origin, s, scene.p)
+    t_bar = project_through(scene.origin, t, scene.p)
     neg_s_bar = reflect_through(s_bar, scene.origin)
     neg_t_bar = reflect_through(t_bar, scene.origin)
     if t_bar == neg_s_bar:
@@ -123,17 +124,6 @@ def nu_general(scene: AxisStripScene) -> AxisParallelogram:
     )
 
 
-def _project_through(center: Point, q: Point, target: Line) -> Point:
-    # q never equals the center: the sources live on the parallel to the
-    # axis through the sample, which the scene keeps off the axis
-    ray = line_from_points(center, q)
-    if is_parallel(ray, target):
-        raise ParallelProjectionError(
-            "ray through a shifted source is parallel to the line pair"
-        )
-    return intersect(ray, target)
-
-
 def nu_general_invariance(
     g: Line,
     p: Line,
@@ -151,7 +141,7 @@ def nu_general_invariance(
         try:
             result = nu_general(AxisStripScene(g, p, axis, origin, offset, sample))
         except GeomError as err:
-            raise type(err)(f"sample {format_point(sample)}: {err.message}") from err
+            raise type(err)(f"sample ({sample.x}, {sample.y}): {err.message}") from err
         points.append(result.nu_point)
     return all(point == points[0] for point in points)
 

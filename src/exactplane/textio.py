@@ -18,7 +18,6 @@ text the parsers map back to the identical value.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .errors import ParseError
 from .kernel import Line, Point
@@ -83,13 +82,22 @@ class _Scanner:
                 f"unexpected {self._describe()}", self.pos, "end of input"
             )
 
-    def digits(self) -> str:
+    def digits(self) -> int:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"unexpected {self._describe()}", self.pos, "a digit")
-        return self.text[start : self.pos]
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # over the interpreter's int-string digit limit, or a digit
+            # such as '²' that int() does not read
+            raise ParseError(
+                f"unreadable {self.pos - start}-character numeric literal",
+                start,
+                "decimal digits within the int-string length limit",
+            ) from None
 
     def unsigned_scalar(self) -> Fraction:
         self.skip_ws()
@@ -98,10 +106,10 @@ class _Scanner:
             self.pos += 1
             slash = self.pos
             denominator = self.digits()
-            if int(denominator) == 0:
+            if denominator == 0:
                 raise ParseError("zero denominator", slash, "a nonzero denominator")
-            return Fraction(int(numerator), int(denominator))
-        return Fraction(int(numerator))
+            return Fraction(numerator, denominator)
+        return Fraction(numerator)
 
     def sign(self) -> int:
         ch = self.peek()

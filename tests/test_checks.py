@@ -69,6 +69,20 @@ class TestMutationDetection:
         assert report.failures > 0
         assert any("replay: exactplane" in ex for ex in report.examples)
 
+    def test_perturbed_vertical_closed_form_is_caught(self, monkeypatch):
+        # p_ver is the swap of p_hor, so this closed form and oracle_point are
+        # the only vertical code independent of the horizontal elimination
+        real = dp.p_ver_closed_form
+
+        def skewed(scene):
+            q = real(scene)
+            return Point(q.x, q.y + 1)
+
+        monkeypatch.setattr(dp, "p_ver_closed_form", skewed)
+        report = run_property("closed-form-agreement", seed=3, trials=24)
+        assert report.failures > 0
+        assert any("replay: exactplane pver" in ex for ex in report.examples)
+
     def test_perturbed_strip_closed_form_is_caught(self, monkeypatch):
         real = pg.nu_closed_form
         monkeypatch.setattr(pg, "nu_closed_form", lambda scene: real(scene) + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -184,6 +185,84 @@ class TestFigureCommand:
         r = run_cli("figure", "pic99")
         assert r.returncode == 2
         assert "pic1" in r.stderr
+
+
+class TestBadInputExits2:
+    """Inputs that once ended in a traceback and exit 1."""
+
+    def assert_clean_exit_2(self, r):
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
+    def test_inverted_viewport(self):
+        r = run_cli("figure", "pic1", "--xmin", "3", "--xmax", "1")
+        self.assert_clean_exit_2(r)
+        assert "E_PARSE" in r.stderr
+
+    def test_non_numeric_width(self):
+        r = run_cli("figure", "pic1", "--width", "abc")
+        self.assert_clean_exit_2(r)
+        assert "--width" in r.stderr
+
+    def test_zero_width(self):
+        r = run_cli("figure", "pic1", "--width", "0")
+        self.assert_clean_exit_2(r)
+        assert "E_PARSE" in r.stderr
+
+    def test_bad_viewport_prints_only_the_error_document(self, tmp_path):
+        out = tmp_path / "scene.svg"
+        r = run_cli("phor", *PIC1, "--json", "--svg-out", str(out), "--xmax", "-9")
+        self.assert_clean_exit_2(r)
+        assert json.loads(r.stdout)["error"]["code"] == "E_PARSE"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials(self, trials):
+        r = run_cli("check", "--trials", trials)
+        self.assert_clean_exit_2(r)
+        assert "passed" not in r.stdout
+
+    def test_over_long_literal(self):
+        r = run_cli(
+            "nu", "--line-g", "y=2x+" + "9" * 5000, "--line-p", "y=2x+2",
+            "--epsilon", "4", "--sample", "(0, 4)",
+        )
+        self.assert_clean_exit_2(r)
+        assert "E_PARSE" in r.stderr
+
+
+# sha256 of stdout for each README example (with --json) and each built-in
+# figure.  Documents and SVGs are byte-stable, so a refactor that keeps the
+# behaviour keeps every digest.
+GOLDEN = {
+    ("phor", *PIC1, "--json"):
+        "edd3bf123941db18f9cdda99a190d7b9fd3e664585ceadad955954e827e723f8",
+    ("pver", *PIC1, "--json"):
+        "972fbe7007d2655e600440beb2a226f99fff85306bd7a4616e3d79b7770f9b8a",
+    ("construct-p", "--line-g-s", "y=x+2", "--line-g-t", "y=x-1",
+     "--line-l", "1x+1y=4", "--line-axis", "1x-3y=3", "--origin", "(3, 0)", "--json"):
+        "1c43165033475e0ca2aae3a827fcf2df2b5d12df8f921ccd1ba6b54b3443f44f",
+    ("nu", "--line-g", "y=2x+4", "--line-p", "y=2x+2",
+     "--epsilon", "4", "--sample", "(0, 4)", "--json"):
+        "ad86f2e1eecebcd461d28bbbe88f26877e1036383c69da44b8bf9d5730d0c544",
+    ("mu", "--line-g", "1x-2y=4", "--line-p", "1x-2y=2",
+     "--epsilon", "4", "--sample", "(4, 0)", "--json"):
+        "bc3ac65d3cf6f712f820fd749fc538ff80532db9ff1073cd6de9acad01f5d914",
+    ("nu-general", "--line-g", "y=2x+4", "--line-p", "y=2x+2", "--line-axis", "1x-4y=4",
+     "--origin", "(4, 0)", "--offset", "3", "--sample", "(0, 4)", "--json"):
+        "990e229a81ecd3664980f565bdac46109875edcc9eb2ae60a0e16de77e64dcc7",
+    ("figure", "pic1"): "d997f97b8aeef1e7eb37a314bcf90d4d64315b0b826c7cec71ff61dcdfa7727a",
+    ("figure", "pic2"): "4bf16be81a2f034145683797355184cba47413f1de511112aa2b73926a624455",
+    ("figure", "pic3"): "89e6e0da43c90ff35047614df474eafc987396e786b0b01d14785f4e6b954c30",
+    ("figure", "pic4"): "af2360070c1133654df2635a75df1c71b8869a99f216a48ee8d56b51e297c37d",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[-1] if argv[0] == "figure" else argv[0])
+def test_output_matches_golden_digest(argv):
+    r = subprocess.run(BASE + list(argv), capture_output=True, timeout=120)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout).hexdigest() == GOLDEN[argv]
 
 
 class TestCheckCommand:

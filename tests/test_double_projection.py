@@ -13,7 +13,6 @@ from exactplane import (
     PreconditionError,
     ProjectionCase,
     TransversalScene,
-    axis_intercept,
     contains,
     line_from_points,
     ORIGIN,
@@ -185,12 +184,6 @@ class TestSceneValidation:
         with pytest.raises(OriginOnLineError):
             TransversalScene(g_s=Line(-2, 1, 4), g_t=Line(-2, 1, 2), l=Line(-1, 1, 0))
 
-    def test_axis_intercept_helper(self):
-        assert axis_intercept(Line(-2, 1, 4), "x") == -2
-        assert axis_intercept(Line(-2, 1, 4), "y") == 4
-        with pytest.raises(ValueError):
-            axis_intercept(Line(-2, 1, 4), "z")
-
 
 @st.composite
 def scenes(draw):
@@ -222,7 +215,8 @@ class TestGeneratedScenes:
 
     @given(scenes())
     def test_ray_parameter_reaches_the_point(self, scene):
-        rho = rho_pair(scene)[0]
         s, _ = scene.crossings()
         w = scene.l.direction()
-        assert Point(s.x + rho * w.dx, s.y + rho * w.dy) == p_hor(scene).point
+        for rho, witness in ((rho_pair(scene)[0], p_hor(scene)), (rho_tilde_pair(scene)[0], p_ver(scene))):
+            assert rho == witness.rho
+            assert Point(s.x + rho * w.dx, s.y + rho * w.dy) == witness.point

@@ -162,14 +162,6 @@ class TestFrame:
         m = parallel_through(l, p)
         assert is_parallel(f.apply_line(l), f.apply_line(m))
 
-    @given(frames, frames, points)
-    def test_compose_matches_sequential_application(self, f, g, p):
-        assert f.compose(g).apply(p) == f.apply(g.apply(p))
-
-    @given(points)
-    def test_identity(self, p):
-        assert Frame.identity().apply(p) == p
-
 
 class TestFrameToStandard:
     def test_normalizes_named_scene(self):

@@ -4,8 +4,8 @@ import pytest
 
 from exactplane import (
     ORIGIN,
+    CoincidentPointsError,
     Line,
-    OriginSampleError,
     ParallelProjectionError,
     ParallelogramWitness,
     Point,
@@ -20,11 +20,11 @@ from exactplane import (
     mu_witness,
     nu,
     nu_closed_form,
-    project_through_origin,
     s_bar_t_bar_closed_form,
     swap_line,
     swap_scene,
 )
+from exactplane.kernel import project_through
 
 # two parallel lines of slope 2, spread 4, sampled at (0, 4)
 SCENE = StripScene(g=Line(-2, 1, 4), p=Line(-2, 1, 2), epsilon=4, sample=Point(0, 4))
@@ -110,16 +110,16 @@ class TestCollapse:
 
 class TestProjection:
     def test_projects_onto_target(self):
-        q = project_through_origin(Point(-4, 4), SCENE.p)
+        q = project_through(ORIGIN, Point(-4, 4), SCENE.p)
         assert q == Point(Fraction(-2, 3), Fraction(2, 3))
 
     def test_origin_is_not_a_sample(self):
-        with pytest.raises(OriginSampleError):
-            project_through_origin(ORIGIN, SCENE.p)
+        with pytest.raises(CoincidentPointsError):
+            project_through(ORIGIN, ORIGIN, SCENE.p)
 
     def test_parallel_ray_rejected(self):
         with pytest.raises(ParallelProjectionError):
-            project_through_origin(Point(1, 2), Line(-2, 1, 4))
+            project_through(ORIGIN, Point(1, 2), Line(-2, 1, 4))
 
 
 class TestValidation:

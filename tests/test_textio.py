@@ -40,6 +40,20 @@ class TestScalars:
             parse_scalar("3/4x")
         assert info.value.position == 3
 
+    def test_over_long_literal_is_a_parse_error(self):
+        # past Python's int-string digit limit int() itself raises ValueError
+        with pytest.raises(ParseError) as info:
+            parse_line_spec("y=2x+" + "9" * 5000)
+        assert info.value.position == 5
+        with pytest.raises(ParseError) as info:
+            parse_scalar("1/" + "7" * 5000)
+        assert info.value.position == 2
+
+    def test_digit_int_cannot_read_is_a_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_scalar("3/²")
+        assert info.value.position == 2
+
 
 class TestPoints:
     @given(points)
