@@ -98,6 +98,15 @@ def _direction(rng: random.Random) -> Direction:
     raise _exhausted("a direction")
 
 
+def _transversal_direction(rng: random.Random, axis: Line) -> Direction:
+    """A direction not parallel to ``axis``."""
+    for _ in range(_MAX_REJECTS):
+        d = _direction(rng)
+        if not is_parallel(line_through(ORIGIN, d), axis):
+            return d
+    raise _exhausted("a transversal direction")
+
+
 def _transversal_scene(
     rng: random.Random,
     g_orient: str = "any",
@@ -128,6 +137,10 @@ def _line_through_point(
     raise _exhausted("a line through the given point")
 
 
+def _on_any(q: Point, *lines: Line) -> bool:
+    return any(contains(l, q) for l in lines)
+
+
 def _axis_scene_main(rng: random.Random) -> ap.AxisScene:
     for _ in range(_MAX_REJECTS):
         try:
@@ -138,11 +151,7 @@ def _axis_scene_main(rng: random.Random) -> ap.AxisScene:
         if is_parallel(axis, base.g_s) or axis == base.l:
             continue
         origin = _point_on(axis, rng)
-        if (
-            contains(base.l, origin)
-            or contains(base.g_s, origin)
-            or contains(base.g_t, origin)
-        ):
+        if _on_any(origin, base.l, base.g_s, base.g_t):
             continue
         s, t = base.crossings()
         if contains(axis, s) or contains(axis, t):
@@ -153,20 +162,24 @@ def _axis_scene_main(rng: random.Random) -> ap.AxisScene:
     raise _exhausted("a main-case axis scene")
 
 
+def _shifted_ray_parallel(g: Line, eps: Fraction) -> bool:
+    """True when the ray from the origin through a source shifted by +-eps
+    along the x-axis is parallel to ``g``: b_g +- m*eps = 0 for a sloped or
+    horizontal ``g``, r +- eps = 0 for a vertical one."""
+    if g.is_vertical:
+        r = g.x_intercept()
+        return r - eps == 0 or r + eps == 0
+    m, b_g = g.slope(), g.y_intercept()
+    return b_g + m * eps == 0 or b_g - m * eps == 0
+
+
 def _strip_triple(rng: random.Random, orient: str = "any") -> Tuple[Line, Line, Fraction]:
     for _ in range(_MAX_REJECTS):
         g = _oriented_line(rng, orient, avoid_origin=True)
         p = _parallel_of(g, rng)
         eps = abs(_scalar(rng))
-        if g.is_vertical:
-            r = g.x_intercept()
-            if r - eps == 0 or r + eps == 0:
-                continue
-        else:
-            m, b_g = g.slope() if not g.is_horizontal else Fraction(0), g.y_intercept()
-            if b_g + m * eps == 0 or b_g - m * eps == 0:
-                continue
-        return g, p, eps
+        if not _shifted_ray_parallel(g, eps):
+            return g, p, eps
     raise _exhausted("a strip triple")
 
 
@@ -176,6 +189,20 @@ def _strip_sample(rng: random.Random, g: Line, for_swap: bool = False) -> Point:
         if q.y != 0 and (not for_swap or q.x != 0):
             return q
     raise _exhausted("a sample point")
+
+
+def _admits_axis_strip_sample(
+    p: Line, axis: Line, origin: Point, offset: Fraction, sample: Point
+) -> bool:
+    """The sample is off the axis and neither shifted source's ray from the
+    center is parallel to ``p``."""
+    if contains(axis, sample):
+        return False
+    d = axis.direction()
+    return not any(
+        is_parallel(line_from_points(origin, translate(sample, d, shift)), p)
+        for shift in (-offset, offset)
+    )
 
 
 def _axis_strip_scene(rng: random.Random) -> pga.AxisStripScene:
@@ -188,14 +215,7 @@ def _axis_strip_scene(rng: random.Random) -> pga.AxisStripScene:
         p = _parallel_of(g, rng)
         offset = _scalar(rng)
         sample = _point_on(g, rng)
-        if contains(axis, sample):
-            continue
-        d = axis.direction()
-        s = translate(sample, d, -offset)
-        t = translate(sample, d, offset)
-        if is_parallel(line_from_points(origin, s), p):
-            continue
-        if is_parallel(line_from_points(origin, t), p):
+        if not _admits_axis_strip_sample(p, axis, origin, offset, sample):
             continue
         return pga.AxisStripScene(
             g=g, p=p, axis=axis, origin=origin, offset=offset, sample=sample
@@ -275,14 +295,7 @@ def _check_frame_round_trip(rng: random.Random, k: int) -> Optional[str]:
 
     axis = _oriented_line(rng, "any")
     origin = _point_on(axis, rng)
-    for _ in range(_MAX_REJECTS):
-        d = _direction(rng)
-        if line_through(origin, d) != axis and not is_parallel(
-            line_through(origin, d), axis
-        ):
-            break
-    else:
-        raise _exhausted("a transversal direction")
+    d = _transversal_direction(rng, axis)
     frame = frame_to_standard(origin, axis, d)
     if frame.apply(origin) != ORIGIN:
         return f"frame does not send {format_point(origin)} to the origin"
@@ -321,25 +334,19 @@ def _rho_oracle(scene: dp.TransversalScene, tilde: bool) -> Fraction:
     """Ray parameter from the full 4-equation, 3-unknown linear system."""
     s, t = scene.crossings()
     w = scene.l.direction()
+    rows = [
+        [w.dx, -t.x, 0],
+        [w.dy, -t.y, 0],
+        [w.dx, 0, -s.x],
+        [w.dy, 0, -s.y],
+    ]
     if tilde:
         b_s = scene.g_s.y_intercept()
         b_t = scene.g_t.y_intercept()
-        rows = [
-            [w.dx, -t.x, 0],
-            [w.dy, -t.y, 0],
-            [w.dx, 0, -s.x],
-            [w.dy, 0, -s.y],
-        ]
         rhs = [-s.x, b_s - s.y, -s.x, b_t - s.y]
     else:
         a_s = scene.g_s.x_intercept()
         a_t = scene.g_t.x_intercept()
-        rows = [
-            [w.dx, -t.x, 0],
-            [w.dy, -t.y, 0],
-            [w.dx, 0, -s.x],
-            [w.dy, 0, -s.y],
-        ]
         rhs = [a_s - s.x, -s.y, a_t - s.x, -s.y]
     return solve_unique(rows, rhs)[0]
 
@@ -510,11 +517,7 @@ def _check_axis_degenerate(rng: random.Random, k: int) -> Optional[str]:
         if axis == base.l:
             continue
         origin = _point_on(axis, rng)
-        if (
-            contains(base.l, origin)
-            or contains(base.g_s, origin)
-            or contains(base.g_t, origin)
-        ):
+        if _on_any(origin, base.l, base.g_s, base.g_t):
             continue
         other = t if want_s else s
         if contains(axis, other):
@@ -571,12 +574,7 @@ def _check_axis_frame_choice(rng: random.Random, k: int) -> Optional[str]:
     scene = _axis_scene_main(rng)
     reference = ap.construct_p(scene).p
     for _ in range(2):
-        for _ in range(_MAX_REJECTS):
-            d = _direction(rng)
-            if not is_parallel(line_through(scene.origin, d), scene.axis):
-                break
-        else:
-            raise _exhausted("an alternative transversal")
+        d = _transversal_direction(rng, scene.axis)
         other = ap.construct_p(scene, transversal=d).p
         if other != reference:
             return (
@@ -620,9 +618,9 @@ def _check_strip_slope_invariance(rng: random.Random, k: int) -> Optional[str]:
         if seen == 10:
             return None
         m = _scalar(rng, nonzero=True)
-        if b_g + m * eps == 0 or b_g - m * eps == 0:
-            continue
         g = Line(-m, 1, b_g)
+        if _shifted_ray_parallel(g, eps):
+            continue
         scene = pg.StripScene(
             g=g, p=Line(-m, 1, b_p), epsilon=eps, sample=_strip_sample(rng, g)
         )
@@ -671,10 +669,8 @@ def _check_strip_degenerate(rng: random.Random, k: int) -> Optional[str]:
         for _ in range(_MAX_REJECTS):
             g = _oriented_line(rng, "sloped", avoid_origin=True)
             eps = abs(_scalar(rng))
-            m, b_g = g.slope(), g.y_intercept()
-            if b_g + m * eps == 0 or b_g - m * eps == 0:
-                continue
-            break
+            if not _shifted_ray_parallel(g, eps):
+                break
         else:
             raise _exhausted("a collapsing strip scene")
         p = Line(g.a, g.b, 0)
@@ -690,19 +686,8 @@ def _check_strip_degenerate(rng: random.Random, k: int) -> Optional[str]:
 def _check_swap_invariance(rng: random.Random, k: int) -> Optional[str]:
     for _ in range(_MAX_REJECTS):
         g, p, eps = _strip_triple(rng)
-        swapped_g = pg.swap_line(g)
-        if swapped_g.is_vertical:
-            r = swapped_g.x_intercept()
-            if r - eps == 0 or r + eps == 0:
-                continue
-        else:
-            m, b_g = (
-                swapped_g.slope() if not swapped_g.is_horizontal else Fraction(0),
-                swapped_g.y_intercept(),
-            )
-            if b_g + m * eps == 0 or b_g - m * eps == 0:
-                continue
-        break
+        if not _shifted_ray_parallel(pg.swap_line(g), eps):
+            break
     else:
         raise _exhausted("a swappable strip triple")
     expected: Optional[Fraction] = None
@@ -732,22 +717,16 @@ def _check_axis_strip_invariance(rng: random.Random, k: int) -> Optional[str]:
     for _ in range(10):
         for _ in range(_MAX_REJECTS):
             sample = _point_on(scene.g, rng)
-            if contains(scene.axis, sample):
-                continue
-            candidate = pga.AxisStripScene(
-                g=scene.g, p=scene.p, axis=scene.axis, origin=scene.origin,
-                offset=scene.offset, sample=sample,
-            )
-            d = scene.axis.direction()
-            s = translate(sample, d, -scene.offset)
-            t = translate(sample, d, scene.offset)
-            if is_parallel(line_from_points(scene.origin, s), scene.p):
-                continue
-            if is_parallel(line_from_points(scene.origin, t), scene.p):
-                continue
-            break
+            if _admits_axis_strip_sample(
+                scene.p, scene.axis, scene.origin, scene.offset, sample
+            ):
+                break
         else:
             raise _exhausted("a valid sample")
+        candidate = pga.AxisStripScene(
+            g=scene.g, p=scene.p, axis=scene.axis, origin=scene.origin,
+            offset=scene.offset, sample=sample,
+        )
         value = pga.nu_general(candidate).nu_point
         if value != reference:
             return (
@@ -772,24 +751,17 @@ def _check_axis_strip_equivariance(rng: random.Random, k: int) -> Optional[str]:
 
 
 def _check_axis_strip_reduction(rng: random.Random, k: int) -> Optional[str]:
-    for _ in range(_MAX_REJECTS):
-        g, p, eps = _strip_triple(rng)
-        sample = _strip_sample(rng, g)
-        try:
-            general = pga.AxisStripScene(
-                g=g, p=p, axis=X_AXIS, origin=ORIGIN, offset=eps, sample=sample
-            )
-        except GeomError:
-            continue
-        strip = pg.StripScene(g=g, p=p, epsilon=eps, sample=sample)
-        break
-    else:
-        raise _exhausted("a reducible strip scene")
+    # horizontal pairs included: there the x-axis is parallel to the pair
+    g, p, eps = _strip_triple(rng)
+    sample = _strip_sample(rng, g)
+    general = pga.AxisStripScene(
+        g=g, p=p, axis=X_AXIS, origin=ORIGIN, offset=eps, sample=sample
+    )
     nu_point = pga.nu_general(general).nu_point
-    value = pg.nu(strip)
+    value = pg.nu_closed_form(pg.StripScene(g=g, p=p, epsilon=eps, sample=sample))
     if nu_point != Point(value, 0):
         return (
-            f"general construction gives {format_point(nu_point)}, direct intercept "
+            f"general construction gives {format_point(nu_point)}, closed form "
             f"{value}; replay: {_replay_axis_strip(general)}"
         )
     return None

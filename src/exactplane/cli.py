@@ -63,8 +63,19 @@ def _write_svg(args, title: str, elements) -> None:
     # runs before _emit, so a bad viewport flag prints only its error
     if getattr(args, "svg_out", None):
         vp = _viewport(args, Viewport())
-        with open(args.svg_out, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(title, elements, vp))
+        _write_svg_out(args.svg_out, render_svg(title, elements, vp))
+
+
+def _write_svg_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise ParseError(
+            f"cannot write --svg-out {path!r}: {err.strerror or err}",
+            0,
+            "a writable file path",
+        ) from None
 
 
 _VIEWPORT_FLAGS = ("xmin", "xmax", "ymin", "ymax", "width", "height")
@@ -332,8 +343,7 @@ def _cmd_figure(args) -> int:
     title, elements, default_vp = builder()
     svg = render_svg(title, elements, _viewport(args, default_vp))
     if args.svg_out:
-        with open(args.svg_out, "w", encoding="utf-8") as handle:
-            handle.write(svg)
+        _write_svg_out(args.svg_out, svg)
     else:
         sys.stdout.write(svg)
     return 0

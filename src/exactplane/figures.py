@@ -16,6 +16,7 @@ tests can locate constructed points without parsing pixel numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,7 +74,11 @@ class Viewport:
 
 def _fmt(value: Fraction) -> str:
     """Pixel-coordinate formatting: decimal, 12 significant digits."""
-    return "%.12g" % float(value)
+    try:
+        return "%.12g" % float(value)
+    except OverflowError:
+        # past the float range (~1.8e308)
+        return format(Decimal(value.numerator) / Decimal(value.denominator), ".12g")
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,20 @@ are vertical.  The mirror line through s_bar and -t_bar crosses at ``-nu``,
 and swapping the two coordinate axes (vertical spread, y-axis intercept)
 produces the analogous invariant ``mu``.
 
-``nu``/``build_witness`` always run the full geometric pipeline; the closed
-forms live in separate functions so tests can play them against each other.
-epsilon is normalized to its absolute value on scene construction: a negative
-spread merely swaps S and T.
+The construction itself is :func:`.parallelogram_axis.nu_general` with the
+x-axis (for ``nu``) or the y-axis (for ``mu``) as the axis, the origin as the
+center and epsilon as the offset; ``build_witness`` and ``mu_witness`` only
+add the coordinate-axis preconditions and read the intercept off the axis
+point.  The closed forms live in separate functions so tests can play them
+against the construction.  epsilon is normalized to its absolute value on
+scene construction: a negative spread merely swaps S and T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .errors import (
     CaseUnavailableError,
@@ -37,18 +40,18 @@ from .errors import (
 from .kernel import (
     ORIGIN,
     X_AXIS,
+    Y_AXIS,
     Line,
     Point,
     contains,
     intersect,
     is_parallel,
     line_from_points,
-    project_through,
-    reflect_through,
     scalar,
     swap_line,
     swap_point,
 )
+from .parallelogram_axis import AxisStripScene, nu_general
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,6 @@ class StripScene:
             raise PreconditionError("source line passes through the origin")
         if not contains(self.g, self.sample):
             raise PreconditionError("sample point does not lie on the source line")
-
-    def shifted_sources(self) -> Tuple[Point, Point]:
-        """S and T: the sample moved left and right by the spread."""
-        return (
-            Point(self.sample.x - self.epsilon, self.sample.y),
-            Point(self.sample.x + self.epsilon, self.sample.y),
-        )
 
 
 @dataclass(frozen=True)
@@ -101,31 +97,29 @@ def _require_sloped(scene: StripScene) -> Tuple[Fraction, Fraction, Fraction]:
     return scene.g.slope(), scene.g.y_intercept(), scene.p.y_intercept()
 
 
-def build_witness(scene: StripScene) -> ParallelogramWitness:
-    """Run the geometric pipeline: shift, project, reflect, connect, intersect."""
-    _require_off_x_axis(scene)
-    # the sources share the sample's nonzero y, so neither is the origin
-    s, t = scene.shifted_sources()
-    s_bar = project_through(ORIGIN, s, scene.p)
-    t_bar = project_through(ORIGIN, t, scene.p)
-    neg_s_bar = reflect_through(s_bar, ORIGIN)
-    neg_t_bar = reflect_through(t_bar, ORIGIN)
-    if t_bar == neg_s_bar:
-        # all four corners collapsed onto the origin (p runs through it)
-        connecting = _collapsed_line(scene)
-        nu_value = Fraction(0)
-    else:
-        connecting = line_from_points(t_bar, neg_s_bar)
-        if is_parallel(connecting, X_AXIS):
-            raise InconsistentError(
-                "connecting line is horizontal, which valid input cannot produce"
-            )
-        nu_value = intersect(connecting, X_AXIS).x
-    return ParallelogramWitness(
-        s=s, t=t, s_bar=s_bar, t_bar=t_bar,
-        neg_s_bar=neg_s_bar, neg_t_bar=neg_t_bar,
-        nu=nu_value, connecting_line=connecting,
+def _on_axis(
+    scene: StripScene,
+    axis: Line,
+    value_of: Callable[[Point], Fraction],
+    collapsed_line: Callable[[StripScene], Line],
+) -> ParallelogramWitness:
+    """``nu_general`` on a coordinate axis through the origin.  ``value_of``
+    reads the intercept off the axis point; ``collapsed_line`` gives the line
+    to draw when the corners collapse, where ``nu_general`` has none."""
+    r = nu_general(
+        AxisStripScene(scene.g, scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
     )
+    return ParallelogramWitness(
+        s=r.s, t=r.t, s_bar=r.s_bar, t_bar=r.t_bar,
+        neg_s_bar=r.neg_s_bar, neg_t_bar=r.neg_t_bar, nu=value_of(r.nu_point),
+        connecting_line=collapsed_line(scene) if r.connecting_line is None else r.connecting_line,
+    )
+
+
+def build_witness(scene: StripScene) -> ParallelogramWitness:
+    """The nu construction record: horizontal spread, x-axis intercept."""
+    _require_off_x_axis(scene)
+    return _on_axis(scene, X_AXIS, lambda q: q.x, _collapsed_line)
 
 
 def _collapsed_line(scene: StripScene) -> Line:
@@ -179,7 +173,7 @@ def s_bar_t_bar_closed_form(scene: StripScene) -> Tuple[Point, Point]:
 
 
 def nu(scene: StripScene) -> Fraction:
-    """The invariant x-axis intercept, via the full pipeline."""
+    """The invariant x-axis intercept, via the construction."""
     return build_witness(scene).nu
 
 
@@ -226,13 +220,8 @@ def swap_scene(scene: StripScene) -> StripScene:
 
 
 def mu(scene: StripScene) -> Fraction:
-    """The coordinate-swapped invariant: vertical spread, y-axis intercept.
-
-    Requires sample.x != 0.  Everything reduces to nu of the swapped scene.
-    """
-    if scene.sample.x == 0:
-        raise PreconditionError("sample point lies on the y-axis")
-    return nu(swap_scene(scene))
+    """The coordinate-swapped invariant: vertical spread, y-axis intercept."""
+    return mu_witness(scene).nu
 
 
 def mu_closed_form(scene: StripScene) -> Fraction:
@@ -242,17 +231,14 @@ def mu_closed_form(scene: StripScene) -> Fraction:
 
 
 def mu_witness(scene: StripScene) -> ParallelogramWitness:
-    """The mu construction record, expressed in the original coordinates.
+    """The mu construction record: ``nu_general`` on the y-axis.
 
     ``nu`` holds the mu value; corners are the projections of the vertically
     shifted sources; the connecting line crosses the y-axis at mu.
     """
     if scene.sample.x == 0:
         raise PreconditionError("sample point lies on the y-axis")
-    w = build_witness(swap_scene(scene))
-    return ParallelogramWitness(
-        s=swap_point(w.s), t=swap_point(w.t),
-        s_bar=swap_point(w.s_bar), t_bar=swap_point(w.t_bar),
-        neg_s_bar=swap_point(w.neg_s_bar), neg_t_bar=swap_point(w.neg_t_bar),
-        nu=w.nu, connecting_line=swap_line(w.connecting_line),
+    return _on_axis(
+        scene, Y_AXIS, lambda q: q.y,
+        lambda s: swap_line(_collapsed_line(swap_scene(s))),
     )

@@ -1,12 +1,15 @@
 """The parallelogram intercept relative to an arbitrary axis and center.
 
-Generalizes :mod:`.parallelogram`: the reference axis is any line, the center
-any point on it, and the sample spread is measured along the axis direction
-instead of horizontally.  The sample sits on ``g``; moving it by
-``-offset`` and ``+offset`` times the canonical axis direction gives the
-sources S and T, which are projected through the center onto ``p`` and then
-reflected through the center.  The line through t_bar and the reflected s_bar
-meets the axis in a point that does not depend on the sample.
+Generalizes :mod:`.parallelogram`, whose ``nu`` and ``mu`` are this
+construction on the x- and y-axis centered at the origin: the reference axis
+is any line, the center any point on it, and the sample spread is measured
+along the axis direction instead of horizontally.  The sample sits on ``g``;
+moving it by ``-offset`` and ``+offset`` times the canonical axis direction
+gives the sources S and T, which are projected through the center onto ``p``
+and then reflected through the center.  The line through t_bar and the
+reflected s_bar meets the axis in a point that does not depend on the
+sample: ``O + lam * offset * d`` for center O, axis direction d and
+``lam = p(O) / g(O)``, the ratio of the lines' equations at the center.
 
 Offsets are rational multiples of the canonical direction vector (first
 nonzero component 1), not Euclidean lengths; a Euclidean unit along a slanted
@@ -16,10 +19,11 @@ same statement either way.  The offset sign is not normalized: negating it
 swaps S with T, which reflects the result through the center; the test
 suite pins that behaviour down.
 
-The whole computation happens directly in the given frame.  Mapping the
-scene to the standard frame (center at the origin, axis horizontal) and
-running the x-axis construction there must land on the same point; that
-reduction is kept as a cross-check, not used as the implementation.
+The axis may be parallel to the pair: S and T then lie on ``g``, so no ray
+from the center (off ``g``) is parallel to ``p``.  For any axis, the
+connecting line is parallel to it only if the sample is on it, which the
+scene rejects.  The computation runs in the given frame, not through the
+formula; :mod:`.parallelogram` keeps the x-axis closed form as an oracle.
 """
 
 from __future__ import annotations
@@ -62,8 +66,6 @@ class AxisStripScene:
         object.__setattr__(self, "offset", scalar(self.offset))
         if not is_parallel(self.g, self.p):
             raise PreconditionError("the two lines must be parallel")
-        if is_parallel(self.axis, self.g):
-            raise PreconditionError("axis is parallel to the line pair")
         if not contains(self.axis, self.origin):
             raise OriginOffAxisError("center does not lie on the axis")
         if contains(self.g, self.origin):

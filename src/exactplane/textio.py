@@ -12,11 +12,14 @@ coefficient and its variable):
 
 A bare ``x`` term may omit its coefficient ("y=x+2" means slope 1, "y=-x+2"
 slope -1); printers always emit an explicit coefficient.  All printers emit
-text the parsers map back to the identical value.
+text the parsers map back to the identical value, with one exception: an
+integer part over the interpreter's int-string limit (4300 digits) still
+prints exactly, but the parsers reject it like any over-long literal.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
@@ -25,8 +28,17 @@ from .kernel import Line, Point
 
 def format_scalar(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        # past the int-string digit limit, which is process-global and so
+        # left alone; Decimal prints an integer of any size exactly
+        return str(Decimal(n))
 
 
 def format_point(p: Point) -> str:

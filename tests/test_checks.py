@@ -90,6 +90,15 @@ class TestMutationDetection:
         assert report.failures == 10
         assert any("closed form" in ex for ex in report.examples)
 
+    def test_perturbed_strip_closed_form_is_caught_by_the_axis_reduction(self, monkeypatch):
+        # nu and nu_general share one construction, so the closed form is
+        # the reduction property's only independent reference
+        real = pg.nu_closed_form
+        monkeypatch.setattr(pg, "nu_closed_form", lambda scene: real(scene) + 1)
+        report = run_property("axis-strip-reduction", seed=3, trials=10)
+        assert report.failures == 10
+        assert any("replay: exactplane nu-general" in ex for ex in report.examples)
+
     def test_crashing_property_counts_as_failure(self, monkeypatch):
         monkeypatch.setattr(
             pg, "nu_closed_form", lambda scene: 1 / 0

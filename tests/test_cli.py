@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from exactplane import render_figure
+from exactplane.cli import main
 
 BASE = [sys.executable, "-m", "exactplane.cli"]
 
@@ -222,6 +223,20 @@ class TestBadInputExits2:
         self.assert_clean_exit_2(r)
         assert "passed" not in r.stdout
 
+    def test_unwritable_svg_out(self, tmp_path):
+        missing = str(tmp_path / "missing" / "scene.svg")
+        r = run_cli("phor", *PIC1, "--svg-out", missing)
+        self.assert_clean_exit_2(r)
+        assert "E_PARSE" in r.stderr and missing in r.stderr
+        assert "No such file or directory" in r.stderr
+        assert r.stdout == ""
+
+    def test_unwritable_figure_svg_out(self, tmp_path):
+        # a directory cannot be opened for writing
+        r = run_cli("figure", "pic1", "--svg-out", str(tmp_path))
+        self.assert_clean_exit_2(r)
+        assert "E_PARSE" in r.stderr and str(tmp_path) in r.stderr
+
     def test_over_long_literal(self):
         r = run_cli(
             "nu", "--line-g", "y=2x+" + "9" * 5000, "--line-p", "y=2x+2",
@@ -229,6 +244,36 @@ class TestBadInputExits2:
         )
         self.assert_clean_exit_2(r)
         assert "E_PARSE" in r.stderr
+
+
+class TestHugeResults:
+    """Exact results past the int-string and float limits print cleanly."""
+
+    def test_result_past_the_int_string_limit(self):
+        # every literal has 4000 digits; p's numerator has over 8000
+        sevens, threes = "7" * 4000, "3" * 4000
+        r = run_cli(
+            "phor",
+            "--line-g-s", f"y={sevens}/{threes}*x+{threes}",
+            "--line-g-t", f"y={sevens}/{threes}*x+{sevens}/{threes}",
+            "--line-l", f"y={threes}/{sevens}*x+1/{sevens}",
+            "--json",
+        )
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+        x = json.loads(r.stdout)["outputs"]["p"]["x"]
+        assert len(x) > 8000 and x.startswith("6481481481")
+
+    def test_pixel_past_the_float_range(self, tmp_path):
+        zeros = "0" * 400
+        out = tmp_path / "scene.svg"
+        r = run_cli(
+            "nu", "--line-g", f"y=2x+1{zeros}", "--line-p", "y=2x+1",
+            "--epsilon", "1", "--sample", f"(0, 1{zeros})", "--svg-out", str(out),
+        )
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+        assert 'cy="-5.00000000000e+401"' in out.read_text()
 
 
 # sha256 of stdout for each README example (with --json) and each built-in
@@ -263,6 +308,50 @@ def test_output_matches_golden_digest(argv):
     r = subprocess.run(BASE + list(argv), capture_output=True, timeout=120)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == GOLDEN[argv]
+
+
+def _strip(command, g, p, epsilon, sample):
+    return (command, "--line-g", g, "--line-p", p, "--epsilon", epsilon, "--sample", sample)
+
+
+# sha256 of the text output, then the --json output, then the SVG, for the
+# strip scenes where nu or mu runs on an axis parallel to the pair or the
+# parallelogram collapses onto the origin.  Run in-process to keep it quick.
+STRIP_SCENES = {
+    "nu-collapsed": _strip("nu", "y=2x+4", "y=2x", "4", "(0, 4)"),
+    "nu-zero-spread": _strip("nu", "y=2x+4", "y=2x+2", "0", "(-1, 2)"),
+    "mu-collapsed": _strip("mu", "1x-2y=4", "1x-2y=0", "4", "(4, 0)"),
+    "nu-vertical-pair": _strip("nu", "x=2", "x=1", "3", "(2, 5)"),
+    "mu-vertical-pair": _strip("mu", "x=2", "x=1", "3", "(2, 5)"),
+    "nu-vertical-collapsed": _strip("nu", "x=2", "x=0", "3", "(2, 5)"),
+    "mu-vertical-collapsed": _strip("mu", "x=2", "x=0", "3", "(2, 5)"),
+    "nu-horizontal-pair": _strip("nu", "y=4", "y=-2", "3", "(7, 4)"),
+    "mu-horizontal-pair": _strip("mu", "y=4", "y=2", "3", "(1, 4)"),
+    "mu-horizontal-collapsed": _strip("mu", "y=4", "y=0", "3", "(1, 4)"),
+}
+STRIP_GOLDEN = {
+    "nu-collapsed": "96d82b44924c1caa34d1ed6843b83a58887233344950f48cc3ec0f729703e95b",
+    "nu-zero-spread": "e10ecf1dae246248ec5f751d922cd90f08d3b4eaf62a98cda9555a11bf7f495d",
+    "mu-collapsed": "675eb85fb91ad2bed6fae33a54e888d8caf4bc43da0cddc0195a9f0a66446ff5",
+    "nu-vertical-pair": "a6718a8d50314ab463bfd11ffb6121b34d0acfdbe0f9b5b9bd2598bf017b541d",
+    "mu-vertical-pair": "5f0dc018afaedc3d42642e4270f72ea15e063852d376e21844fc4ca24571114b",
+    "nu-vertical-collapsed": "a87559c0f447ddaad0939e3703f233a31568e3310db675f93d4d010ca75ed13e",
+    "mu-vertical-collapsed": "a8da61a04e48f089599c489a4406c9bc4635b42ede41dbb5c894255a379709fd",
+    "nu-horizontal-pair": "2c6d6880f6beaec2285ce585e608d8e2fe759b4973ae1fec2d658ba34356f8f2",
+    "mu-horizontal-pair": "d7aa527134c9d94009916c016e15c46826f01a154ba86b56dd53832013b2147e",
+    "mu-horizontal-collapsed": "6a851b85ff0dcae3eea1b2d8151b4c875a465b087ea56ea1d0e6370b7edb653c",
+}
+
+
+@pytest.mark.parametrize("name", list(STRIP_SCENES))
+def test_strip_output_matches_golden_digest(name, tmp_path, capsys):
+    svg = tmp_path / "scene.svg"
+    digest = hashlib.sha256()
+    for extra in ((), ("--json", "--svg-out", str(svg))):
+        assert main([*STRIP_SCENES[name], *extra]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    digest.update(svg.read_bytes())
+    assert digest.hexdigest() == STRIP_GOLDEN[name]
 
 
 class TestCheckCommand:

@@ -7,6 +7,7 @@ from exactplane import Line, Point, Viewport, render_figure, render_svg
 from exactplane.figures import (
     LineElement,
     MarkElement,
+    _fmt,
     clip_to_viewport,
     transversal_elements,
 )
@@ -107,6 +108,17 @@ class TestRenderSvg:
         labels = [el.label for el in elements if isinstance(el, (LineElement, MarkElement))]
         assert "Z_S" in labels and "Z_T" in labels
         assert "P_hor" in labels
+
+
+class TestPixelFormatting:
+    def test_in_float_range(self):
+        assert _fmt(Fraction(1, 3)) == "0.333333333333"
+        assert _fmt(Fraction(600)) == "600"
+
+    def test_past_float_range(self):
+        # float() overflows past ~1.8e308
+        assert _fmt(Fraction(10**400 + 7, 3)) == "3.33333333333e+399"
+        assert _fmt(Fraction(-(10**400))) == "-1.00000000000e+400"
 
 
 class TestViewport:

@@ -32,9 +32,9 @@ SCENE = StripScene(g=Line(-2, 1, 4), p=Line(-2, 1, 2), epsilon=4, sample=Point(0
 
 class TestWorkedScene:
     def test_shifted_sources(self):
-        s, t = SCENE.shifted_sources()
-        assert s == Point(-4, 4)
-        assert t == Point(4, 4)
+        w = build_witness(SCENE)
+        assert w.s == Point(-4, 4)
+        assert w.t == Point(4, 4)
 
     def test_projected_corners(self):
         w = build_witness(SCENE)

@@ -21,6 +21,7 @@ from exactplane import (
     nu_general_invariance,
     reflect_through,
     transform_scene,
+    translate,
     transported_offset,
 )
 
@@ -135,14 +136,32 @@ class TestEquivariance:
         assert (image.dx, image.dy) == (factor * d2.dx, factor * d2.dy)
 
 
-class TestValidation:
-    def test_axis_parallel_to_pair(self):
-        with pytest.raises(PreconditionError):
-            AxisStripScene(
-                g=Line(-2, 1, 4), p=Line(-2, 1, 2), axis=Line(-2, 1, 9),
-                origin=Point(0, 9), offset=3, sample=Point(0, 4),
-            )
+class TestAxisParallelToPair:
+    """An axis parallel to the pair is admitted: the point is O + lam*offset*d
+    with lam = p(O) / g(O), whatever the sample."""
 
+    def test_worked_scene(self):
+        # lam = (1 + 2) / (1 - 4) = -1, so the point is (3, 1) - 3 * (1, 0)
+        for sample in (Point(7, 4), Point(-2, 4), Point(Fraction(1, 3), 4)):
+            scene = AxisStripScene(
+                g=Line(0, 1, 4), p=Line(0, 1, -2), axis=Line(0, 1, 1),
+                origin=Point(3, 1), offset=3, sample=sample,
+            )
+            r = nu_general(scene)
+            assert r.nu_point == Point(0, 1)
+            assert contains(r.connecting_line, r.t_bar)
+            assert contains(r.connecting_line, r.neg_s_bar)
+
+    def test_slanted_pair(self):
+        g, p, axis, origin = Line(-2, 1, 4), Line(-2, 1, 2), Line(-2, 1, 9), Point(0, 9)
+        lam = p.evaluate(origin) / g.evaluate(origin)
+        assert lam == Fraction(7, 5)
+        for sample in (Point(0, 4), Point(1, 6), Point(-3, -2)):
+            scene = AxisStripScene(g=g, p=p, axis=axis, origin=origin, offset=3, sample=sample)
+            assert nu_general(scene).nu_point == translate(origin, axis.direction(), lam * 3)
+
+
+class TestValidation:
     def test_center_must_sit_on_axis(self):
         with pytest.raises(OriginOffAxisError):
             AxisStripScene(

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,16 @@ class TestScalars:
         with pytest.raises(ParseError) as info:
             parse_scalar("1/" + "7" * 5000)
         assert info.value.position == 2
+
+    def test_past_the_int_string_limit_prints_exactly(self):
+        # str(int) raises ValueError past 4300 digits; the printer must not
+        big = Fraction(7**6000, 3**5000)
+        numerator, denominator = format_scalar(big).split("/")
+        assert (len(numerator), len(denominator)) == (5071, 2386)
+        assert Decimal(numerator) == 7**6000 and Decimal(denominator) == 3**5000
+        assert format_scalar(Fraction(-(10**5000))) == "-1" + "0" * 5000
+        with pytest.raises(ParseError):  # the parser keeps the limit
+            parse_scalar(format_scalar(big))
 
     def test_digit_int_cannot_read_is_a_parse_error(self):
         with pytest.raises(ParseError) as info:
