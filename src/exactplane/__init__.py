@@ -48,6 +48,7 @@ from .textio import (
     format_line,
     format_point,
     format_scalar,
+    format_value,
     parse_line_spec,
     parse_point,
     parse_scalar,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -42,7 +42,7 @@ from .kernel import (
     translate,
 )
 from .linsolve import solve_unique
-from .textio import format_line, format_point, format_scalar
+from .textio import format_line, format_point, format_scalar, format_value
 
 _MAX_REJECTS = 10_000
 
@@ -143,10 +143,7 @@ def _on_any(q: Point, *lines: Line) -> bool:
 
 def _axis_scene_main(rng: random.Random) -> ap.AxisScene:
     for _ in range(_MAX_REJECTS):
-        try:
-            base = _transversal_scene(rng)
-        except GeomError:
-            continue
+        base = _transversal_scene(rng)
         axis = _oriented_line(rng, "any")
         if is_parallel(axis, base.g_s) or axis == base.l:
             continue
@@ -210,7 +207,7 @@ def _axis_strip_scene(rng: random.Random) -> pga.AxisStripScene:
         axis = _oriented_line(rng, "any")
         origin = _point_on(axis, rng)
         g = _oriented_line(rng, "any")
-        if is_parallel(axis, g) or contains(g, origin):
+        if contains(g, origin):
             continue
         p = _parallel_of(g, rng)
         offset = _scalar(rng)
@@ -233,42 +230,20 @@ def _random_frame(rng: random.Random) -> Frame:
     raise _exhausted("an invertible frame")
 
 
-# ------------------------------------------------------------ replay helpers
+# ------------------------------------------------------------ replay helper
 
-def _q(text: str) -> str:
-    return shlex.quote(text)
-
-
-def _replay_prop1(sub: str, scene: dp.TransversalScene) -> str:
-    return (
-        f"exactplane {sub} --line-g-s {_q(format_line(scene.g_s))} "
-        f"--line-g-t {_q(format_line(scene.g_t))} --line-l {_q(format_line(scene.l))}"
-    )
-
-
-def _replay_prop2(scene: ap.AxisScene) -> str:
-    return (
-        f"exactplane construct-p --line-g-s {_q(format_line(scene.g_s))} "
-        f"--line-g-t {_q(format_line(scene.g_t))} --line-l {_q(format_line(scene.l))} "
-        f"--line-axis {_q(format_line(scene.axis))} --origin {_q(format_point(scene.origin))}"
-    )
-
-
-def _replay_strip(sub: str, scene: pg.StripScene) -> str:
-    return (
-        f"exactplane {sub} --line-g {_q(format_line(scene.g))} "
-        f"--line-p {_q(format_line(scene.p))} --epsilon {_q(format_scalar(scene.epsilon))} "
-        f"--sample {_q(format_point(scene.sample))}"
-    )
-
-
-def _replay_axis_strip(scene: pga.AxisStripScene) -> str:
-    return (
-        f"exactplane nu-general --line-g {_q(format_line(scene.g))} "
-        f"--line-p {_q(format_line(scene.p))} --line-axis {_q(format_line(scene.axis))} "
-        f"--origin {_q(format_point(scene.origin))} --offset {_q(format_scalar(scene.offset))} "
-        f"--sample {_q(format_point(scene.sample))}"
-    )
+def _replay(sub: str, scene) -> str:
+    """The CLI command that re-runs ``scene``: one flag per scene field,
+    ``--line-<name>`` for a line and ``--<name>`` otherwise."""
+    words = ["exactplane", sub]
+    for f in fields(scene):
+        value = getattr(scene, f.name)
+        name = f.name.replace("_", "-")
+        flag = f"--line-{name}" if isinstance(value, Line) else f"--{name}"
+        text = shlex.quote(format_value(value))
+        # argparse reads "-3/2" as an option, so a leading '-' needs "="
+        words.append(f"{flag}={text}" if text.startswith("-") else f"{flag} {text}")
+    return " ".join(words)
 
 
 # ------------------------------------------------------------- the properties
@@ -355,9 +330,9 @@ def _check_rho_identity(rng: random.Random, k: int) -> Optional[str]:
     scene = _transversal_scene(rng, g_orient=("sloped", "vertical")[k % 2])
     first, second = dp.rho_pair(scene)
     if first != second:
-        return f"ray-parameter pair differs: {first} vs {second}; replay: {_replay_prop1('phor', scene)}"
+        return f"ray-parameter pair differs: {first} vs {second}; replay: {_replay('phor', scene)}"
     if first != _rho_oracle(scene, tilde=False):
-        return f"pair disagrees with the linear-system solve; replay: {_replay_prop1('phor', scene)}"
+        return f"pair disagrees with the linear-system solve; replay: {_replay('phor', scene)}"
     return None
 
 
@@ -365,9 +340,9 @@ def _check_rho_tilde_identity(rng: random.Random, k: int) -> Optional[str]:
     scene = _transversal_scene(rng, g_orient=("sloped", "horizontal")[k % 2])
     first, second = dp.rho_tilde_pair(scene)
     if first != second:
-        return f"ray-parameter pair differs: {first} vs {second}; replay: {_replay_prop1('pver', scene)}"
+        return f"ray-parameter pair differs: {first} vs {second}; replay: {_replay('pver', scene)}"
     if first != _rho_oracle(scene, tilde=True):
-        return f"pair disagrees with the linear-system solve; replay: {_replay_prop1('pver', scene)}"
+        return f"pair disagrees with the linear-system solve; replay: {_replay('pver', scene)}"
     return None
 
 
@@ -393,7 +368,7 @@ def _check_closed_form_agreement(rng: random.Random, k: int) -> Optional[str]:
         if not (a == b == c):
             return (
                 f"horizontal case disagrees: formula {a}, closed form {b}, oracle {c}; "
-                f"replay: {_replay_prop1('phor', scene)}"
+                f"replay: {_replay('phor', scene)}"
             )
     if not scene.g_s.is_vertical:
         a = dp.p_ver(scene).point
@@ -402,7 +377,7 @@ def _check_closed_form_agreement(rng: random.Random, k: int) -> Optional[str]:
         if not (a == b == c):
             return (
                 f"vertical case disagrees: formula {a}, closed form {b}, oracle {c}; "
-                f"replay: {_replay_prop1('pver', scene)}"
+                f"replay: {_replay('pver', scene)}"
             )
     return None
 
@@ -417,21 +392,21 @@ def _check_shifted_membership(rng: random.Random, k: int) -> Optional[str]:
         shifted_s = Point(w.point.x - w.a_or_b_s, w.point.y)
         shifted_t = Point(w.point.x - w.a_or_b_t, w.point.y)
         if not contains(scene.l, w.point):
-            return f"point off the transversal; replay: {_replay_prop1('phor', scene)}"
+            return f"point off the transversal; replay: {_replay('phor', scene)}"
         if shifted_s != Point(w.alpha * t.x, w.alpha * t.y) or not contains(z_t, shifted_s):
-            return f"left-shifted point misses the T ray; replay: {_replay_prop1('phor', scene)}"
+            return f"left-shifted point misses the T ray; replay: {_replay('phor', scene)}"
         if shifted_t != Point(w.beta * s.x, w.beta * s.y) or not contains(z_s, shifted_t):
-            return f"left-shifted point misses the S ray; replay: {_replay_prop1('phor', scene)}"
+            return f"left-shifted point misses the S ray; replay: {_replay('phor', scene)}"
     if not scene.g_s.is_vertical:
         w = dp.p_ver(scene)
         shifted_s = Point(w.point.x, w.point.y - w.a_or_b_s)
         shifted_t = Point(w.point.x, w.point.y - w.a_or_b_t)
         if not contains(scene.l, w.point):
-            return f"point off the transversal; replay: {_replay_prop1('pver', scene)}"
+            return f"point off the transversal; replay: {_replay('pver', scene)}"
         if shifted_s != Point(w.alpha * t.x, w.alpha * t.y) or not contains(z_t, shifted_s):
-            return f"down-shifted point misses the T ray; replay: {_replay_prop1('pver', scene)}"
+            return f"down-shifted point misses the T ray; replay: {_replay('pver', scene)}"
         if shifted_t != Point(w.beta * s.x, w.beta * s.y) or not contains(z_s, shifted_t):
-            return f"down-shifted point misses the S ray; replay: {_replay_prop1('pver', scene)}"
+            return f"down-shifted point misses the S ray; replay: {_replay('pver', scene)}"
     return None
 
 
@@ -455,7 +430,7 @@ def _check_trivial_intercepts(rng: random.Random, k: int) -> Optional[str]:
     if result != pinned:
         return (
             f"axis-pinned crossing {format_point(pinned)} not returned (got "
-            f"{format_point(result)}); replay: {_replay_prop1(sub, scene)}"
+            f"{format_point(result)}); replay: {_replay(sub, scene)}"
         )
     return None
 
@@ -475,7 +450,7 @@ def _check_uniqueness(rng: random.Random, k: int) -> Optional[str]:
             if ok_t and ok_s:
                 return (
                     f"second point {format_point(q)} also satisfies both memberships; "
-                    f"replay: {_replay_prop1('phor', scene)}"
+                    f"replay: {_replay('phor', scene)}"
                 )
     if not scene.g_s.is_vertical:
         witness = dp.p_ver(scene)
@@ -486,7 +461,7 @@ def _check_uniqueness(rng: random.Random, k: int) -> Optional[str]:
             if ok_t and ok_s:
                 return (
                     f"second point {format_point(q)} also satisfies both memberships; "
-                    f"replay: {_replay_prop1('pver', scene)}"
+                    f"replay: {_replay('pver', scene)}"
                 )
     return None
 
@@ -495,22 +470,22 @@ def _check_axis_main_contract(rng: random.Random, k: int) -> Optional[str]:
     scene = _axis_scene_main(rng)
     result = ap.construct_p(scene)
     if result.case_tag is not ap.AxisCase.MAIN:
-        return f"expected the main case, got {result.case_tag.value}; replay: {_replay_prop2(scene)}"
+        return (
+            f"expected the main case, got {result.case_tag.value}; "
+            f"replay: {_replay('construct-p', scene)}"
+        )
     failed = [name for name, ok in ap.verify_p2(result).items() if not ok]
     if failed:
-        return f"contract checks failed: {', '.join(failed)}; replay: {_replay_prop2(scene)}"
+        return f"contract checks failed: {', '.join(failed)}; replay: {_replay('construct-p', scene)}"
     if scene.g_s != scene.g_t and result.z_s == result.z_t:
-        return f"distinct base lines produced equal rays; replay: {_replay_prop2(scene)}"
+        return f"distinct base lines produced equal rays; replay: {_replay('construct-p', scene)}"
     return None
 
 
 def _check_axis_degenerate(rng: random.Random, k: int) -> Optional[str]:
     want_s = k % 2 == 0
     for _ in range(_MAX_REJECTS):
-        try:
-            base = _transversal_scene(rng)
-        except GeomError:
-            continue
+        base = _transversal_scene(rng)
         s, t = base.crossings()
         pinned = s if want_s else t
         axis = _line_through_point(rng, pinned, base.g_s, avoid_origin=False)
@@ -531,15 +506,21 @@ def _check_axis_degenerate(rng: random.Random, k: int) -> Optional[str]:
     result = ap.construct_p(scene)
     expected = ap.AxisCase.S_COINCIDES if want_s else ap.AxisCase.T_COINCIDES
     if result.case_tag is not expected:
-        return f"expected {expected.value}, got {result.case_tag.value}; replay: {_replay_prop2(scene)}"
+        return (
+            f"expected {expected.value}, got {result.case_tag.value}; "
+            f"replay: {_replay('construct-p', scene)}"
+        )
     if result.p != pinned:
-        return f"degenerate case did not return the pinned crossing; replay: {_replay_prop2(scene)}"
+        return (
+            f"degenerate case did not return the pinned crossing; "
+            f"replay: {_replay('construct-p', scene)}"
+        )
     companion = result.t_p if want_s else result.s_p
     if companion != scene.origin:
-        return f"companion point is not the center; replay: {_replay_prop2(scene)}"
+        return f"companion point is not the center; replay: {_replay('construct-p', scene)}"
     failed = [name for name, ok in ap.verify_p2(result).items() if not ok]
     if failed:
-        return f"contract checks failed: {', '.join(failed)}; replay: {_replay_prop2(scene)}"
+        return f"contract checks failed: {', '.join(failed)}; replay: {_replay('construct-p', scene)}"
     return None
 
 
@@ -565,7 +546,7 @@ def _check_axis_reduction(rng: random.Random, k: int) -> Optional[str]:
     if got != want:
         return (
             f"axis construction gives {format_point(got)} but the direct one gives "
-            f"{format_point(want)}; replay: {_replay_prop2(full)}"
+            f"{format_point(want)}; replay: {_replay('construct-p', full)}"
         )
     return None
 
@@ -579,7 +560,7 @@ def _check_axis_frame_choice(rng: random.Random, k: int) -> Optional[str]:
         if other != reference:
             return (
                 f"point depends on the reduction frame: {format_point(reference)} vs "
-                f"{format_point(other)}; replay: {_replay_prop2(scene)}"
+                f"{format_point(other)}; replay: {_replay('construct-p', scene)}"
             )
     return None
 
@@ -596,14 +577,14 @@ def _check_strip_sample_invariance(rng: random.Random, k: int) -> Optional[str]:
         if value != closed:
             return (
                 f"pipeline {value} vs closed form {closed}; "
-                f"replay: {_replay_strip('nu', scene)}"
+                f"replay: {_replay('nu', scene)}"
             )
         if expected is None:
             expected, first_scene = value, scene
         elif value != expected:
             return (
                 f"sample moved the intercept: {expected} vs {value}; "
-                f"replay: {_replay_strip('nu', scene)} and {_replay_strip('nu', first_scene)}"
+                f"replay: {_replay('nu', scene)} and {_replay('nu', first_scene)}"
             )
     return None
 
@@ -628,7 +609,7 @@ def _check_strip_slope_invariance(rng: random.Random, k: int) -> Optional[str]:
         if value != expected:
             return (
                 f"slope changed the intercept: got {value}, want {expected}; "
-                f"replay: {_replay_strip('nu', scene)}"
+                f"replay: {_replay('nu', scene)}"
             )
         seen += 1
     raise _exhausted("slopes for the invariance sweep")
@@ -640,19 +621,19 @@ def _check_strip_closed_forms(rng: random.Random, k: int) -> Optional[str]:
     w = pg.build_witness(scene)
     s_bar, t_bar = pg.s_bar_t_bar_closed_form(scene)
     if (s_bar, t_bar) != (w.s_bar, w.t_bar):
-        return f"projection closed form disagrees; replay: {_replay_strip('nu', scene)}"
+        return f"projection closed form disagrees; replay: {_replay('nu', scene)}"
     if w.t_bar != w.neg_s_bar and pg.connecting_line(scene) != w.connecting_line:
-        return f"connecting-line closed form disagrees; replay: {_replay_strip('nu', scene)}"
+        return f"connecting-line closed form disagrees; replay: {_replay('nu', scene)}"
     if pg.minus_nu_check(scene) != -w.nu:
-        return f"mirror intercept is not the negation; replay: {_replay_strip('nu', scene)}"
+        return f"mirror intercept is not the negation; replay: {_replay('nu', scene)}"
     if midpoint(w.s_bar, w.neg_s_bar) != ORIGIN or midpoint(w.t_bar, w.neg_t_bar) != ORIGIN:
-        return f"corners are not centrally symmetric; replay: {_replay_strip('nu', scene)}"
+        return f"corners are not centrally symmetric; replay: {_replay('nu', scene)}"
     corners = {w.s_bar, w.t_bar, w.neg_s_bar, w.neg_t_bar}
     if len(corners) == 4:
         side = line_from_points(w.s_bar, w.t_bar)
         opposite = line_from_points(w.neg_s_bar, w.neg_t_bar)
         if not is_parallel(side, opposite):
-            return f"opposite sides not parallel; replay: {_replay_strip('nu', scene)}"
+            return f"opposite sides not parallel; replay: {_replay('nu', scene)}"
     return None
 
 
@@ -662,9 +643,9 @@ def _check_strip_degenerate(rng: random.Random, k: int) -> Optional[str]:
         scene = pg.StripScene(g=g, p=p, epsilon=0, sample=_strip_sample(rng, g))
         w = pg.build_witness(scene)
         if w.nu != 0 or w.s_bar != w.t_bar:
-            return f"zero spread did not collapse; replay: {_replay_strip('nu', scene)}"
+            return f"zero spread did not collapse; replay: {_replay('nu', scene)}"
         if not contains(w.connecting_line, ORIGIN):
-            return f"zero-spread line misses the origin; replay: {_replay_strip('nu', scene)}"
+            return f"zero-spread line misses the origin; replay: {_replay('nu', scene)}"
     else:  # second line through the origin
         for _ in range(_MAX_REJECTS):
             g = _oriented_line(rng, "sloped", avoid_origin=True)
@@ -677,9 +658,9 @@ def _check_strip_degenerate(rng: random.Random, k: int) -> Optional[str]:
         scene = pg.StripScene(g=g, p=p, epsilon=eps, sample=_strip_sample(rng, g))
         w = pg.build_witness(scene)
         if not (w.s_bar == w.t_bar == w.neg_s_bar == w.neg_t_bar == ORIGIN):
-            return f"corners did not collapse onto the origin; replay: {_replay_strip('nu', scene)}"
+            return f"corners did not collapse onto the origin; replay: {_replay('nu', scene)}"
         if w.nu != 0:
-            return f"collapsed scene has nonzero intercept; replay: {_replay_strip('nu', scene)}"
+            return f"collapsed scene has nonzero intercept; replay: {_replay('nu', scene)}"
     return None
 
 
@@ -696,18 +677,18 @@ def _check_swap_invariance(rng: random.Random, k: int) -> Optional[str]:
         scene = pg.StripScene(g=g, p=p, epsilon=eps, sample=sample)
         value = pg.mu(scene)
         if value != pg.mu_closed_form(scene):
-            return f"swap closed form disagrees; replay: {_replay_strip('mu', scene)}"
+            return f"swap closed form disagrees; replay: {_replay('mu', scene)}"
         if not g.is_horizontal:
             conjectured = p.x_intercept() * eps / g.x_intercept()
             if value != conjectured:
                 return (
                     f"swap value {value} differs from the x-intercept formula "
-                    f"{conjectured}; replay: {_replay_strip('mu', scene)}"
+                    f"{conjectured}; replay: {_replay('mu', scene)}"
                 )
         if expected is None:
             expected = value
         elif value != expected:
-            return f"swap value moved with the sample; replay: {_replay_strip('mu', scene)}"
+            return f"swap value moved with the sample; replay: {_replay('mu', scene)}"
     return None
 
 
@@ -731,7 +712,7 @@ def _check_axis_strip_invariance(rng: random.Random, k: int) -> Optional[str]:
         if value != reference:
             return (
                 f"axis point moved with the sample: {format_point(reference)} vs "
-                f"{format_point(value)}; replay: {_replay_axis_strip(candidate)}"
+                f"{format_point(value)}; replay: {_replay('nu-general', candidate)}"
             )
     return None
 
@@ -745,7 +726,7 @@ def _check_axis_strip_equivariance(rng: random.Random, k: int) -> Optional[str]:
     if got != want:
         return (
             f"frame transport broke: want {format_point(want)}, got {format_point(got)}; "
-            f"replay: {_replay_axis_strip(scene)}"
+            f"replay: {_replay('nu-general', scene)}"
         )
     return None
 
@@ -762,7 +743,7 @@ def _check_axis_strip_reduction(rng: random.Random, k: int) -> Optional[str]:
     if nu_point != Point(value, 0):
         return (
             f"general construction gives {format_point(nu_point)}, closed form "
-            f"{value}; replay: {_replay_axis_strip(general)}"
+            f"{value}; replay: {_replay('nu-general', general)}"
         )
     return None
 
@@ -793,10 +774,7 @@ def _check_error_codes(rng: random.Random, k: int) -> Optional[str]:
             )
         return "parallel transversal was accepted"
     if case == 2:  # axis parallel to the pair
-        try:
-            base = _transversal_scene(rng)
-        except GeomError:
-            return None
+        base = _transversal_scene(rng)
         axis = _parallel_of(base.g_s, rng)
         try:
             ap.AxisScene(
@@ -824,9 +802,9 @@ def _check_error_codes(rng: random.Random, k: int) -> Optional[str]:
         pg.nu(scene)
     except GeomError as err:
         return None if err.code == "E_PARALLEL_PROJECTION" else (
-            f"expected E_PARALLEL_PROJECTION, got {err.code}; replay: {_replay_strip('nu', scene)}"
+            f"expected E_PARALLEL_PROJECTION, got {err.code}; replay: {_replay('nu', scene)}"
         )
-    return f"parallel projection ray was accepted; replay: {_replay_strip('nu', scene)}"
+    return f"parallel projection ray was accepted; replay: {_replay('nu', scene)}"
 
 
 # ------------------------------------------------------------------ engine

@@ -6,11 +6,15 @@ parse error (exit code 2) instead of an argparse usage dump.  Geometry
 preconditions exit 3, an internal cross-check failure exits 4, and a failing
 check suite exits 1.
 
-With ``--json`` each run prints a single result document: ``construction``,
-``inputs`` (echoed in canonical text form), ``outputs``, ``case`` and
-``witnesses`` on success, or the same envelope with an ``error`` object and
-the raw input strings when the run is rejected.  Rationals are rendered as
-``p/q`` strings so the documents are exact and byte-stable.
+Each construction handler builds its scene, runs it, and hands the result
+record to ``_report``, the one place that decides how a value prints: a
+point, line or rational as its canonical text (``textio.format_value``), an
+absent value as ``-``.  Without ``--json`` that is ``label: value`` rows.
+With ``--json`` it is one result document: ``construction``, ``inputs`` (the
+scene's fields, echoed in canonical text form), ``outputs``, ``case`` and
+``witnesses``, where a point becomes ``{"x", "y"}`` and rationals are ``p/q``
+strings, so the documents are exact and byte-stable.  A rejected run prints
+the same envelope with an ``error`` object and the raw input strings.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import axis_projection as ap
@@ -38,32 +41,52 @@ from .figures import (
     transversal_elements,
 )
 from .kernel import Point
-from .textio import format_line, format_point, format_scalar, parse_line_spec, parse_point, parse_scalar
+from .textio import format_scalar, format_value, parse_line_spec, parse_point, parse_scalar
 
 
-# ------------------------------------------------------------- JSON helpers
+# ------------------------------------------------------------- output
 
-def _point_doc(p: Point) -> Dict[str, str]:
-    return {"x": format_scalar(p.x), "y": format_scalar(p.y)}
+def _json(value):
+    """The JSON form of a record value: a point becomes ``{"x", "y"}``, a
+    dict recurses, and strings, bools and None pass through."""
+    if isinstance(value, Point):
+        return {"x": format_scalar(value.x), "y": format_scalar(value.y)}
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    return format_value(value)
 
 
-def _maybe_point_doc(p: Optional[Point]):
-    return None if p is None else _point_doc(p)
+def _text(value) -> str:
+    if value is None:
+        return "-"
+    return value if isinstance(value, str) else format_value(value)
 
 
-def _emit(args, doc: dict, lines: Sequence[str]) -> None:
+def _report(
+    args, scene, outputs: dict, case: str, witnesses: dict, rows, title: str, elements
+) -> int:
+    """Print one construction result: the ``--json`` document, or the
+    ``label: value`` text rows.  The inputs echo the scene's fields, whose
+    names are the document's keys."""
+    # the SVG goes first, so a bad viewport flag prints only its error
+    if args.svg_out:
+        _write_svg_out(args.svg_out, render_svg(title, elements, _viewport(args, Viewport())))
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        inputs = {f.name: getattr(scene, f.name) for f in dataclasses.fields(scene)}
+        doc = {
+            "construction": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "case": case,
+            "witnesses": witnesses,
+        }
+        print(json.dumps(_json(doc), indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
-
-
-def _write_svg(args, title: str, elements) -> None:
-    # runs before _emit, so a bad viewport flag prints only its error
-    if getattr(args, "svg_out", None):
-        vp = _viewport(args, Viewport())
-        _write_svg_out(args.svg_out, render_svg(title, elements, vp))
+        for label, value in rows:
+            print(f"{label}: {_text(value)}")
+    return 0
 
 
 def _write_svg_out(path: str, text: str) -> None:
@@ -106,19 +129,6 @@ def _pixels(name: str, raw: str) -> int:
 
 # ------------------------------------------------------------- subcommands
 
-def _projection_witness_doc(w: dp.ProjectionWitness) -> dict:
-    return {
-        "rho": format_scalar(w.rho),
-        "alpha": format_scalar(w.alpha),
-        "beta": format_scalar(w.beta),
-        "s": _point_doc(w.s),
-        "t": _point_doc(w.t),
-        "a_or_b_s": format_scalar(w.a_or_b_s),
-        "a_or_b_t": format_scalar(w.a_or_b_t),
-        "case_tag": w.case_tag.value,
-    }
-
-
 def _cmd_projection(args) -> int:
     horizontal = args.command == "phor"
     scene = dp.TransversalScene(
@@ -126,37 +136,21 @@ def _cmd_projection(args) -> int:
         g_t=parse_line_spec(args.line_g_t),
         l=parse_line_spec(args.line_l),
     )
-    witness = dp.p_hor(scene) if horizontal else dp.p_ver(scene)
-    intercept_names = ("a_s", "a_t") if horizontal else ("b_s", "b_t")
-    doc = {
-        "construction": args.command,
-        "inputs": {
-            "g_s": format_line(scene.g_s),
-            "g_t": format_line(scene.g_t),
-            "l": format_line(scene.l),
-        },
-        "outputs": {"p": _point_doc(witness.point)},
-        "case": witness.case_tag.value,
-        "witnesses": _projection_witness_doc(witness),
-    }
-    lines = [
-        f"case: {witness.case_tag.value}",
-        f"p: {format_point(witness.point)}",
-        f"s: {format_point(witness.s)}",
-        f"t: {format_point(witness.t)}",
-        f"{intercept_names[0]}: {format_scalar(witness.a_or_b_s)}",
-        f"{intercept_names[1]}: {format_scalar(witness.a_or_b_t)}",
-        f"rho: {format_scalar(witness.rho)}",
-        f"alpha: {format_scalar(witness.alpha)}",
-        f"beta: {format_scalar(witness.beta)}",
+    w = dp.p_hor(scene) if horizontal else dp.p_ver(scene)
+    case = w.case_tag.value
+    witnesses = {f.name: getattr(w, f.name) for f in dataclasses.fields(w) if f.name != "point"}
+    witnesses["case_tag"] = case
+    shift_s, shift_t = ("a_s", "a_t") if horizontal else ("b_s", "b_t")
+    rows = [
+        ("case", case), ("p", w.point), ("s", w.s), ("t", w.t),
+        (shift_s, w.a_or_b_s), (shift_t, w.a_or_b_t),
+        ("rho", w.rho), ("alpha", w.alpha), ("beta", w.beta),
     ]
-    _write_svg(
-        args,
+    return _report(
+        args, scene, {"p": w.point}, case, witnesses, rows,
         "Distinguished point on a transversal",
-        transversal_elements(scene, [witness], mark_intercepts=True),
+        transversal_elements(scene, [w], mark_intercepts=True),
     )
-    _emit(args, doc, lines)
-    return 0
 
 
 def _cmd_construct_p(args) -> int:
@@ -167,73 +161,32 @@ def _cmd_construct_p(args) -> int:
         axis=parse_line_spec(args.line_axis),
         origin=parse_point(args.origin),
     )
-    result = ap.construct_p(scene)
-    checks = ap.verify_p2(result)
-    doc = {
-        "construction": "construct-p",
-        "inputs": {
-            "g_s": format_line(scene.g_s),
-            "g_t": format_line(scene.g_t),
-            "l": format_line(scene.l),
-            "axis": format_line(scene.axis),
-            "origin": _point_doc(scene.origin),
-        },
-        "outputs": {
-            "p": _point_doc(result.p),
-            "axis_p": format_line(result.axis_p),
-            "s_p": _maybe_point_doc(result.s_p),
-            "t_p": _maybe_point_doc(result.t_p),
-            "s_axis": _point_doc(result.s_axis),
-            "t_axis": _point_doc(result.t_axis),
-        },
-        "case": result.case_tag.value,
-        "witnesses": {
-            "s": _point_doc(result.s),
-            "t": _point_doc(result.t),
-            "z_s": format_line(result.z_s),
-            "z_t": format_line(result.z_t),
-            "checks": checks,
-        },
+    r = ap.construct_p(scene)
+    checks = ap.verify_p2(r)
+    outputs = {
+        name: getattr(r, name) for name in ("p", "axis_p", "s_axis", "t_axis", "s_p", "t_p")
     }
-    lines = [
-        f"case: {result.case_tag.value}",
-        f"p: {format_point(result.p)}",
-        f"axis_p: {format_line(result.axis_p)}",
-        f"s_axis: {format_point(result.s_axis)}",
-        f"t_axis: {format_point(result.t_axis)}",
-        f"s_p: {format_point(result.s_p) if result.s_p is not None else '-'}",
-        f"t_p: {format_point(result.t_p) if result.t_p is not None else '-'}",
-        f"verified: {sum(checks.values())}/{len(checks)}",
-    ]
-    _write_svg(
-        args, "Construction relative to an axis", axis_projection_elements(result)
+    witnesses = {name: getattr(r, name) for name in ("s", "t", "z_s", "z_t")}
+    witnesses["checks"] = checks
+    case = r.case_tag.value
+    rows = [("case", case), *outputs.items(), ("verified", f"{sum(checks.values())}/{len(checks)}")]
+    return _report(
+        args, scene, outputs, case, witnesses, rows,
+        "Construction relative to an axis", axis_projection_elements(r),
     )
-    _emit(args, doc, lines)
-    return 0
 
 
-def _strip_witness_doc(w: pg.ParallelogramWitness) -> dict:
-    return {
-        "s": _point_doc(w.s),
-        "t": _point_doc(w.t),
-        "s_bar": _point_doc(w.s_bar),
-        "t_bar": _point_doc(w.t_bar),
-        "neg_s_bar": _point_doc(w.neg_s_bar),
-        "neg_t_bar": _point_doc(w.neg_t_bar),
-        "connecting_line": format_line(w.connecting_line),
-    }
-
-
-def _strip_lines(w: pg.ParallelogramWitness, label: str, value: Fraction) -> List[str]:
-    return [
-        f"{label}: {format_scalar(value)}",
-        f"s_bar: {format_point(w.s_bar)}",
-        f"t_bar: {format_point(w.t_bar)}",
-        f"neg_s_bar: {format_point(w.neg_s_bar)}",
-        f"neg_t_bar: {format_point(w.neg_t_bar)}",
-        f"connecting: {format_line(w.connecting_line)}",
-        f"case: {'collapsed' if w.t_bar == w.neg_s_bar else 'main'}",
+def _report_parallelogram(args, scene, record, label: str, value, title: str, elements) -> int:
+    """The shared report of ``nu``/``mu`` (a ``ParallelogramWitness``) and
+    ``nu-general`` (an ``AxisParallelogram``)."""
+    case = "collapsed" if record.t_bar == record.neg_s_bar else "main"
+    corners = ("s_bar", "t_bar", "neg_s_bar", "neg_t_bar")
+    witnesses = {name: getattr(record, name) for name in ("s", "t", *corners, "connecting_line")}
+    rows = [
+        (label, value), *((name, witnesses[name]) for name in corners),
+        ("connecting", record.connecting_line), ("case", case),
     ]
+    return _report(args, scene, {label: value}, case, witnesses, rows, title, elements)
 
 
 def _cmd_strip(args) -> int:
@@ -244,27 +197,11 @@ def _cmd_strip(args) -> int:
         epsilon=parse_scalar(args.epsilon),
         sample=parse_point(args.sample),
     )
-    witness = pg.mu_witness(scene) if swap else pg.build_witness(scene)
-    value = witness.nu
-    doc = {
-        "construction": args.command,
-        "inputs": {
-            "g": format_line(scene.g),
-            "p": format_line(scene.p),
-            "epsilon": format_scalar(scene.epsilon),
-            "sample": _point_doc(scene.sample),
-        },
-        "outputs": {args.command: format_scalar(value)},
-        "case": "collapsed" if witness.t_bar == witness.neg_s_bar else "main",
-        "witnesses": _strip_witness_doc(witness),
-    }
-    _write_svg(
-        args,
-        "Parallelogram intercept",
-        strip_elements(scene, witness, "μ" if swap else "ν"),
+    w = pg.mu_witness(scene) if swap else pg.build_witness(scene)
+    return _report_parallelogram(
+        args, scene, w, args.command, w.nu, "Parallelogram intercept",
+        strip_elements(scene, w, "μ" if swap else "ν"),
     )
-    _emit(args, doc, _strip_lines(witness, args.command, value))
-    return 0
 
 
 def _cmd_nu_general(args) -> int:
@@ -276,51 +213,24 @@ def _cmd_nu_general(args) -> int:
         offset=parse_scalar(args.offset),
         sample=parse_point(args.sample),
     )
-    result = pga.nu_general(scene)
-    collapsed = result.connecting_line is None
-    doc = {
-        "construction": "nu-general",
-        "inputs": {
-            "g": format_line(scene.g),
-            "p": format_line(scene.p),
-            "axis": format_line(scene.axis),
-            "origin": _point_doc(scene.origin),
-            "offset": format_scalar(scene.offset),
-            "sample": _point_doc(scene.sample),
-        },
-        "outputs": {"nu_point": _point_doc(result.nu_point)},
-        "case": "collapsed" if collapsed else "main",
-        "witnesses": {
-            "s": _point_doc(result.s),
-            "t": _point_doc(result.t),
-            "s_bar": _point_doc(result.s_bar),
-            "t_bar": _point_doc(result.t_bar),
-            "neg_s_bar": _point_doc(result.neg_s_bar),
-            "neg_t_bar": _point_doc(result.neg_t_bar),
-            "connecting_line": None if collapsed else format_line(result.connecting_line),
-        },
-    }
-    lines = [
-        f"nu_point: {format_point(result.nu_point)}",
-        f"s_bar: {format_point(result.s_bar)}",
-        f"t_bar: {format_point(result.t_bar)}",
-        f"neg_s_bar: {format_point(result.neg_s_bar)}",
-        f"neg_t_bar: {format_point(result.neg_t_bar)}",
-        f"connecting: {'-' if collapsed else format_line(result.connecting_line)}",
-        f"case: {'collapsed' if collapsed else 'main'}",
-    ]
-    _write_svg(args, "Parallelogram intercept on an axis", axis_strip_elements(result))
-    _emit(args, doc, lines)
-    return 0
+    r = pga.nu_general(scene)
+    return _report_parallelogram(
+        args, scene, r, "nu_point", r.nu_point, "Parallelogram intercept on an axis",
+        axis_strip_elements(r),
+    )
 
 
 def _cmd_check(args) -> int:
     names: Optional[List[str]] = None
-    if args.only:
+    if args.only is not None:
         names = [name.strip() for name in args.only.split(",") if name.strip()]
         unknown = sorted(set(names) - set(PROPERTY_NAMES))
-        if unknown:
-            print(f"unknown properties: {', '.join(unknown)}", file=sys.stderr)
+        if unknown or not names:
+            # an empty list would pass on zero evidence
+            print(
+                f"unknown properties: {', '.join(unknown)}" if unknown else "--only names no property",
+                file=sys.stderr,
+            )
             print(f"available: {', '.join(PROPERTY_NAMES)}", file=sys.stderr)
             return 2
     if args.trials < 1:
@@ -442,23 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every construction input flag; the error envelope echoes them raw
+_INPUT_DESTS = (
+    "line_g_s", "line_g_t", "line_l", "line_axis", "line_g", "line_p",
+    "origin", "epsilon", "offset", "sample",
+)
+
+
 def _raw_inputs(args) -> Dict[str, str]:
-    names = (
-        ("line_g_s", "g_s"),
-        ("line_g_t", "g_t"),
-        ("line_l", "l"),
-        ("line_axis", "axis"),
-        ("line_g", "g"),
-        ("line_p", "p"),
-        ("origin", "origin"),
-        ("epsilon", "epsilon"),
-        ("offset", "offset"),
-        ("sample", "sample"),
-    )
     return {
-        label: getattr(args, attr)
-        for attr, label in names
-        if getattr(args, attr, None) is not None
+        dest.removeprefix("line_"): getattr(args, dest)
+        for dest in _INPUT_DESTS
+        if getattr(args, dest, None) is not None
     }
 
 

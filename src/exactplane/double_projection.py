@@ -49,6 +49,7 @@ from .kernel import (
     Line,
     Point,
     contains,
+    exact_str,
     intersect,
     is_parallel,
     swap_line,
@@ -158,7 +159,7 @@ def p_hor(scene: TransversalScene) -> ProjectionWitness:
     a_s, a_t, s, t, w, rho_1, rho_2 = _eliminate(scene)
     if rho_1 != rho_2:
         raise InconsistentError(
-            f"horizontal-case eliminations disagree: {rho_1} vs {rho_2}"
+            f"horizontal-case eliminations disagree: {exact_str(rho_1)} vs {exact_str(rho_2)}"
         )
     point = translate(s, w, rho_1)
     alpha = point.y / t.y if t.y != 0 else (point.x - a_s) / t.x
@@ -319,6 +320,7 @@ def oracle_point(scene: TransversalScene, case: ProjectionCase) -> Point:
         )
     if first[0] != second[0]:
         raise InconsistentError(
-            f"membership systems disagree on the ray parameter: {first[0]} vs {second[0]}"
+            "membership systems disagree on the ray parameter: "
+            f"{exact_str(first[0])} vs {exact_str(second[0])}"
         )
     return translate(s, w, first[0])

@@ -17,6 +17,7 @@ equivalent to length equality and stays rational.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -40,6 +41,23 @@ def scalar(value: ScalarLike) -> Fraction:
     return Fraction(value)
 
 
+def exact_str(value: Fraction) -> str:
+    """``str(value)`` for a rational or int of any size: "n" or "p/q".
+
+    ``str`` raises ValueError past the interpreter's int-string digit limit,
+    which is process-global and so left alone; Decimal prints an integer of
+    any size exactly.  Reprs and error messages use this too, so a huge
+    value cannot turn a typed error into a ValueError.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        numerator = str(Decimal(value.numerator))
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{Decimal(value.denominator)}"
+
+
 @dataclass(frozen=True)
 class Point:
     x: Fraction
@@ -50,7 +68,7 @@ class Point:
         object.__setattr__(self, "y", scalar(self.y))
 
     def __repr__(self) -> str:
-        return f"Point({self.x}, {self.y})"
+        return f"Point({exact_str(self.x)}, {exact_str(self.y)})"
 
 
 @dataclass(frozen=True)
@@ -75,7 +93,7 @@ class Direction:
         return self.dx * other.dy - self.dy * other.dx
 
     def __repr__(self) -> str:
-        return f"Direction({self.dx}, {self.dy})"
+        return f"Direction({exact_str(self.dx)}, {exact_str(self.dy)})"
 
 
 ORIGIN = Point(Fraction(0), Fraction(0))
@@ -130,7 +148,7 @@ class Line:
         return self.a * p.x + self.b * p.y - self.c
 
     def __repr__(self) -> str:
-        return f"Line({self.a}, {self.b}, {self.c})"
+        return f"Line({exact_str(self.a)}, {exact_str(self.b)}, {exact_str(self.c)})"
 
 
 X_AXIS = Line(0, 1, 0)

@@ -43,6 +43,7 @@ from .kernel import (
     Line,
     Point,
     contains,
+    exact_str,
     intersect,
     is_parallel,
     line_from_points,
@@ -143,7 +144,8 @@ def nu_general_invariance(
         try:
             result = nu_general(AxisStripScene(g, p, axis, origin, offset, sample))
         except GeomError as err:
-            raise type(err)(f"sample ({sample.x}, {sample.y}): {err.message}") from err
+            where = f"sample ({exact_str(sample.x)}, {exact_str(sample.y)})"
+            raise type(err)(f"{where}: {err.message}") from err
         points.append(result.nu_point)
     return all(point == points[0] for point in points)
 

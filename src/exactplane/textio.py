@@ -19,26 +19,13 @@ prints exactly, but the parsers reject it like any over-long literal.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
-from .kernel import Line, Point
+from .kernel import Line, Point, exact_str
 
-
-def format_scalar(value: Fraction) -> str:
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
-
-
-def _digits(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:
-        # past the int-string digit limit, which is process-global and so
-        # left alone; Decimal prints an integer of any size exactly
-        return str(Decimal(n))
+# "n" or "p/q", exact at any size
+format_scalar = exact_str
 
 
 def format_point(p: Point) -> str:
@@ -55,6 +42,15 @@ def format_line(l: Line) -> str:
     offset = l.y_intercept()
     sign = "-" if offset < 0 else "+"
     return f"y={slope}*x{sign}{format_scalar(abs(offset))}"
+
+
+def format_value(value) -> str:
+    """Canonical text of a Point, a Line or a rational."""
+    if isinstance(value, Point):
+        return format_point(value)
+    if isinstance(value, Line):
+        return format_line(value)
+    return format_scalar(value)
 
 
 class _Scanner:

@@ -5,6 +5,12 @@ closed forms through its module attribute and confirm the suite actually
 notices.  A checker that cannot catch a planted bug proves nothing.
 """
 
+import dataclasses
+import json
+import random
+import shlex
+from fractions import Fraction
+
 import pytest
 
 from exactplane import (
@@ -14,9 +20,13 @@ from exactplane import (
     run_property,
     summarize,
 )
+from exactplane import checks
 from exactplane import double_projection as dp
 from exactplane import parallelogram as pg
-from exactplane.kernel import Point
+from exactplane.cli import main
+from exactplane.kernel import Line, Point
+from exactplane.parallelogram_axis import AxisStripScene
+from exactplane.textio import format_scalar, format_value
 
 
 class TestEngine:
@@ -112,3 +122,51 @@ class TestMutationDetection:
         report = run_property("strip-sample-invariance", seed=3, trials=9)
         assert report.failures == 9
         assert len(report.examples) == 3
+
+
+def _canonical(value):
+    """A scene value as a JSON document echoes it."""
+    if isinstance(value, Point):
+        return {"x": format_scalar(value.x), "y": format_scalar(value.y)}
+    return format_value(value)
+
+
+class TestReplay:
+    """A replay command re-runs its scene: fed back through the CLI, it
+    echoes the scene's canonical inputs."""
+
+    @staticmethod
+    def scenes():
+        rng = random.Random(5)
+        g, p, eps = checks._strip_triple(rng)
+        sample = checks._strip_sample(rng, g, for_swap=True)
+        strip = pg.StripScene(g=g, p=p, epsilon=eps, sample=sample)
+        transversal = checks._transversal_scene(rng, g_orient="sloped")
+        return [
+            ("phor", transversal),
+            ("pver", transversal),
+            ("construct-p", checks._axis_scene_main(rng)),
+            ("nu", strip),
+            ("mu", strip),
+            ("nu-general", checks._axis_strip_scene(rng)),
+        ]
+
+    def test_round_trip_through_the_cli(self, capsys):
+        for sub, scene in self.scenes():
+            argv = shlex.split(checks._replay(sub, scene))
+            assert argv[:2] == ["exactplane", sub]
+            assert main([*argv[1:], "--json"]) == 0
+            inputs = json.loads(capsys.readouterr().out)["inputs"]
+            want = {f.name: _canonical(getattr(scene, f.name)) for f in dataclasses.fields(scene)}
+            assert inputs == want, sub
+
+    def test_negative_offset_is_joined_with_equals(self, capsys):
+        # argparse would read a separate "-3/2" as an option
+        scene = AxisStripScene(
+            g=Line(-2, 1, 4), p=Line(-2, 1, 2), axis=Line(1, -4, 4),
+            origin=Point(4, 0), offset=Fraction(-3, 2), sample=Point(0, 4),
+        )
+        command = checks._replay("nu-general", scene)
+        assert "--offset=-3/2 --sample '(0, 4)'" in command
+        assert main([*shlex.split(command)[1:], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["offset"] == "-3/2"

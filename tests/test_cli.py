@@ -343,15 +343,70 @@ STRIP_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(STRIP_SCENES))
-def test_strip_output_matches_golden_digest(name, tmp_path, capsys):
-    svg = tmp_path / "scene.svg"
+def _text_json_svg_digest(argv, svg, capsys):
     digest = hashlib.sha256()
     for extra in ((), ("--json", "--svg-out", str(svg))):
-        assert main([*STRIP_SCENES[name], *extra]) == 0
+        assert main([*argv, *extra]) == 0
         digest.update(capsys.readouterr().out.encode())
     digest.update(svg.read_bytes())
-    assert digest.hexdigest() == STRIP_GOLDEN[name]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(STRIP_SCENES))
+def test_strip_output_matches_golden_digest(name, tmp_path, capsys):
+    digest = _text_json_svg_digest(STRIP_SCENES[name], tmp_path / "scene.svg", capsys)
+    assert digest == STRIP_GOLDEN[name]
+
+
+README_CP = (
+    "construct-p", "--line-g-s", "y=x+2", "--line-g-t", "y=x-1", "--line-l", "1x+1y=4",
+)
+README_NG = (
+    "nu-general", "--line-g", "y=2x+4", "--line-axis", "1x-4y=4", "--origin", "(4, 0)",
+    "--offset", "3", "--sample", "(0, 4)",
+)
+
+# The same digests for the README examples of the other subcommands and for
+# their degenerate branches:
+# S on the axis (s_p prints "-") and p through the center (no connecting line).
+SCENES = {
+    "phor": ("phor", *PIC1),
+    "pver": ("pver", *PIC1),
+    "construct-p": (*README_CP, "--line-axis", "1x-3y=3", "--origin", "(3, 0)"),
+    "construct-p-s-coincides": (*README_CP, "--line-axis", "3x+4y=15", "--origin", "(5, 0)"),
+    "nu-general": (*README_NG, "--line-p", "y=2x+2"),
+    "nu-general-collapsed": (*README_NG, "--line-p", "y=2x-8"),
+}
+SCENE_GOLDEN = {
+    "phor": "c87db635cdd6f7450310e02951ad47d0ebbf38717759bcc66b167b42cc4a7864",
+    "pver": "41a983a9304a277f9b985a6f34489c07f5e8df33b4fece931ffb3827ec9c92d8",
+    "construct-p": "7ae2e9d30c75f541c10a4180e4328c801bd35004b541dab1e1b08b4dcc4b4ceb",
+    "construct-p-s-coincides": "bae3260102d7303df7c48c1762e540539432bcfb9ed7f3c055e62aa082e6b6fd",
+    "nu-general": "fa429a69286139c2f40ebe25e22e1c6b7d39dc21ff86b6d243ea69b4804e3dfd",
+    "nu-general-collapsed": "0225623f2554001826925d0b70d5bee5633eabe56044360bfe7543496779488e",
+}
+
+
+@pytest.mark.parametrize("name", list(SCENES))
+def test_scene_output_matches_golden_digest(name, tmp_path, capsys):
+    digest = _text_json_svg_digest(SCENES[name], tmp_path / "scene.svg", capsys)
+    assert digest == SCENE_GOLDEN[name]
+
+
+# sha256 of the --json error envelope: exit code, then document
+ERROR_GOLDEN = {
+    ("phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=2x+1"):
+        (3, "859f1c91f786a6e5b27e416cd392973005472c84fcc6ebd9111e6f28dcee17de"),
+    ("phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=(1"):
+        (2, "0763263fba74add4fa51730cd20301f6ed54749c851d1f91172028675bf878f9"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ERROR_GOLDEN), ids=["E_PARALLEL", "E_PARSE"])
+def test_error_envelope_matches_golden_digest(argv, capsys):
+    code, digest = ERROR_GOLDEN[argv]
+    assert main([*argv, "--json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCheckCommand:
@@ -368,3 +423,11 @@ class TestCheckCommand:
         assert r.returncode == 0
         assert "strip-closed-forms" in r.stdout
         assert "kernel-intersection" not in r.stdout
+
+    @pytest.mark.parametrize("only", [",", " ", ""], ids=["comma", "space", "empty"])
+    def test_only_naming_no_property_is_2(self, only, capsys):
+        # a run over no property would pass on zero evidence
+        assert main(["check", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert "no property" in captured.err

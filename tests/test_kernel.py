@@ -197,3 +197,28 @@ class TestFrameToStandard:
         assert Y_AXIS == Line(1, 0, 0)
         assert contains(X_AXIS, Point(7, 0))
         assert contains(Y_AXIS, Point(0, -3))
+
+
+class TestHugeValuesInErrors:
+    """Error messages print values past the 4300-digit int-string limit
+    exactly, so the typed error is raised instead of a ValueError."""
+
+    HUGE = 10**5000
+
+    def test_parallel_intersection(self):
+        with pytest.raises(ParallelLinesError, match="^Line\\(1, 0, 10{5000}\\) and"):
+            intersect(Line(1, 0, self.HUGE), Line(1, 0, 0))
+
+    def test_line_from_equal_points(self):
+        p = Point(self.HUGE, Fraction(1, self.HUGE + 1))
+        with pytest.raises(CoincidentPointsError):
+            line_from_points(p, Point(p.x, p.y))
+
+    def test_origin_off_axis(self):
+        with pytest.raises(OriginOffAxisError):
+            frame_to_standard(Point(0, self.HUGE), X_AXIS, Direction(0, 1))
+
+    def test_in_range_reprs_are_unchanged(self):
+        assert repr(Point(Fraction(-5, 2), 1)) == "Point(-5/2, 1)"
+        assert repr(Line(2, 4, 1)) == "Line(1, 2, 1/2)"
+        assert repr(Direction(3, Fraction(1, 3))) == "Direction(3, 1/3)"

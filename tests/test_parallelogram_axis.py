@@ -212,3 +212,12 @@ class TestValidation:
                 Line(-2, 1, 4), Line(-2, 1, 2), Line(1, 0, 0), Point(0, 1), 3, samples
             )
         assert "(2, 8)" in info.value.message
+
+    def test_invariance_helper_names_a_huge_sample(self):
+        # past the int-string limit the sample still prints exactly
+        huge = Point(0, 10**5000)
+        with pytest.raises(PreconditionError) as info:
+            nu_general_invariance(
+                Line(-2, 1, 4), Line(-2, 1, 2), Line(1, 0, 0), Point(0, 1), 3, [huge]
+            )
+        assert info.value.message.startswith("sample (0, 1" + "0" * 5000 + ")")

@@ -11,6 +11,7 @@ from exactplane import (
     format_line,
     format_point,
     format_scalar,
+    format_value,
     parse_line_spec,
     parse_point,
     parse_scalar,
@@ -128,3 +129,9 @@ class TestLineGrammar:
         assert format_line(Line(0, 1, 1)) == "y=1"
         assert format_line(Line(1, 0, -2)) == "x=-2"
         assert format_line(Line(Fraction(1, 2), 1, -3)) == "y=-1/2*x-3"
+
+
+def test_format_value_dispatches_on_type():
+    assert format_value(Point(Fraction(-5, 2), 1)) == format_point(Point(Fraction(-5, 2), 1)) == "(-5/2, 1)"
+    assert format_value(Line(-2, 1, 4)) == format_line(Line(-2, 1, 4)) == "y=2*x+4"
+    assert format_value(Fraction(3, 4)) == format_scalar(Fraction(3, 4)) == "3/4"
