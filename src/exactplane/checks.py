@@ -2,22 +2,40 @@
 
 Each property owns a deterministic RNG stream derived from ``(seed, name)``,
 generates scenes by rejection sampling over small rationals, and re-checks a
-guarantee exactly; a counterexample is reported as a replayable CLI command
-wherever a subcommand exists for the scene.  Identical seed and trial count
-give byte-identical summaries: no wall-clock, no global state, no threads.
+guarantee exactly.  Identical seed and trial count give byte-identical
+summaries: no wall-clock, no global state, no threads.
 
-The closed-form comparisons deliberately call their targets through the
-module objects (``dp.p_hor_closed_form`` and friends) so a test harness can
-inject a perturbed implementation and confirm the suite catches it.
+Three decisions are made in one place each:
+
+- Sampling.  ``_draw(what, attempt)`` calls ``attempt`` until it returns
+  something other than ``None`` (``None`` rejects the draw) and raises
+  ``RuntimeError`` naming ``what`` after ``_MAX_REJECTS`` rejections, so a
+  generator whose constraints admit almost nothing fails loudly instead of
+  spinning.  A draw a property cannot use is redrawn, never counted as a
+  passing trial.
+- Failure text.  ``_fail(message, sub, *scenes)`` appends ``; replay:`` and
+  one ``exactplane <sub> ...`` command per scene, joined by ``and``.  A
+  counterexample is replayable where a subcommand exists for its scene;
+  kernel counterexamples, and ``error-codes`` ones whose scene the library
+  refused to build, have no replay.
+- The horizontal and vertical shift cases (``phor``/``pver``).  ``_SHIFTS``
+  holds one row per case, and each twin property runs its one body over it.
+
+Library targets are looked up on their modules at call time: properties call
+``dp.p_hor_closed_form`` rather than an imported name, and ``_SHIFTS`` holds
+attribute *names*, not function objects.  A harness that replaces a module
+attribute, such as a planted mutation or a tracing wrapper, is therefore seen
+by every property.
 """
 
 from __future__ import annotations
 
 import random
 import shlex
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from . import axis_projection as ap
 from . import double_projection as dp
@@ -46,19 +64,25 @@ from .textio import format_line, format_point, format_scalar, format_value
 
 _MAX_REJECTS = 10_000
 
+T = TypeVar("T")
 
-def _exhausted(what: str) -> RuntimeError:
-    return RuntimeError(f"generator failed to produce {what}; widen its ranges")
+
+def _draw(what: str, attempt: Callable[[], Optional[T]]) -> T:
+    """The first result of ``attempt`` that is not ``None``."""
+    for _ in range(_MAX_REJECTS):
+        value = attempt()
+        if value is not None:
+            return value
+    raise RuntimeError(f"generator failed to produce {what}; widen its ranges")
 
 
 # ---------------------------------------------------------------- generators
 
 def _scalar(rng: random.Random, nonzero: bool = False) -> Fraction:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         value = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-        if value != 0 or not nonzero:
-            return value
-    raise _exhausted("a scalar")
+        return value if value != 0 or not nonzero else None
+    return _draw("a scalar", attempt)
 
 
 def _point(rng: random.Random) -> Point:
@@ -91,20 +115,18 @@ def _point_on(l: Line, rng: random.Random) -> Point:
 
 
 def _direction(rng: random.Random) -> Direction:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         dx, dy = _scalar(rng), _scalar(rng)
-        if dx != 0 or dy != 0:
-            return Direction(dx, dy)
-    raise _exhausted("a direction")
+        return Direction(dx, dy) if dx != 0 or dy != 0 else None
+    return _draw("a direction", attempt)
 
 
 def _transversal_direction(rng: random.Random, axis: Line) -> Direction:
     """A direction not parallel to ``axis``."""
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         d = _direction(rng)
-        if not is_parallel(line_through(ORIGIN, d), axis):
-            return d
-    raise _exhausted("a transversal direction")
+        return None if is_parallel(line_through(ORIGIN, d), axis) else d
+    return _draw("a transversal direction", attempt)
 
 
 def _transversal_scene(
@@ -113,28 +135,23 @@ def _transversal_scene(
     l_orient: str = "any",
     coincident: bool = False,
 ) -> dp.TransversalScene:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         g_s = _oriented_line(rng, g_orient)
         g_t = g_s if coincident else _parallel_of(g_s, rng)
         l = _oriented_line(rng, l_orient, avoid_origin=True)
-        if is_parallel(l, g_s):
-            continue
-        return dp.TransversalScene(g_s=g_s, g_t=g_t, l=l)
-    raise _exhausted("a transversal scene")
+        return None if is_parallel(l, g_s) else dp.TransversalScene(g_s=g_s, g_t=g_t, l=l)
+    return _draw("a transversal scene", attempt)
 
 
 def _line_through_point(
     rng: random.Random, q: Point, not_parallel_to: Line, avoid_origin: bool
 ) -> Line:
-    for _ in range(_MAX_REJECTS):
-        d = _direction(rng)
-        l = line_through(q, d)
-        if is_parallel(l, not_parallel_to):
-            continue
-        if avoid_origin and contains(l, ORIGIN):
-            continue
+    def attempt():
+        l = line_through(q, _direction(rng))
+        if is_parallel(l, not_parallel_to) or (avoid_origin and contains(l, ORIGIN)):
+            return None
         return l
-    raise _exhausted("a line through the given point")
+    return _draw("a line through the given point", attempt)
 
 
 def _on_any(q: Point, *lines: Line) -> bool:
@@ -142,95 +159,76 @@ def _on_any(q: Point, *lines: Line) -> bool:
 
 
 def _axis_scene_main(rng: random.Random) -> ap.AxisScene:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         base = _transversal_scene(rng)
         axis = _oriented_line(rng, "any")
         if is_parallel(axis, base.g_s) or axis == base.l:
-            continue
+            return None
         origin = _point_on(axis, rng)
         if _on_any(origin, base.l, base.g_s, base.g_t):
-            continue
-        s, t = base.crossings()
-        if contains(axis, s) or contains(axis, t):
-            continue  # keep the dispatch in the main case
+            return None
+        if any(contains(axis, q) for q in base.crossings()):
+            return None  # keep the dispatch in the main case
         return ap.AxisScene(
             g_s=base.g_s, g_t=base.g_t, l=base.l, axis=axis, origin=origin
         )
-    raise _exhausted("a main-case axis scene")
+    return _draw("a main-case axis scene", attempt)
 
 
-def _shifted_ray_parallel(g: Line, eps: Fraction) -> bool:
-    """True when the ray from the origin through a source shifted by +-eps
-    along the x-axis is parallel to ``g``: b_g +- m*eps = 0 for a sloped or
-    horizontal ``g``, r +- eps = 0 for a vertical one."""
-    if g.is_vertical:
-        r = g.x_intercept()
-        return r - eps == 0 or r + eps == 0
-    m, b_g = g.slope(), g.y_intercept()
-    return b_g + m * eps == 0 or b_g - m * eps == 0
+def _shifted_ray_parallel(g: Line, axis: Line, center: Point, offset: Fraction) -> bool:
+    """True when the ray from ``center`` through a point of ``g`` moved by
+    +-offset along ``axis`` is parallel to ``g``.  The moved copy of ``g``
+    then runs through the center, so ``g`` runs through the center moved by
+    -+offset; which point of ``g`` was moved does not matter."""
+    d = axis.direction()
+    return any(contains(g, translate(center, d, shift)) for shift in (offset, -offset))
 
 
 def _strip_triple(rng: random.Random, orient: str = "any") -> Tuple[Line, Line, Fraction]:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         g = _oriented_line(rng, orient, avoid_origin=True)
         p = _parallel_of(g, rng)
         eps = abs(_scalar(rng))
-        if not _shifted_ray_parallel(g, eps):
-            return g, p, eps
-    raise _exhausted("a strip triple")
+        return None if _shifted_ray_parallel(g, X_AXIS, ORIGIN, eps) else (g, p, eps)
+    return _draw("a strip triple", attempt)
 
 
 def _strip_sample(rng: random.Random, g: Line, for_swap: bool = False) -> Point:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         q = _point_on(g, rng)
-        if q.y != 0 and (not for_swap or q.x != 0):
-            return q
-    raise _exhausted("a sample point")
-
-
-def _admits_axis_strip_sample(
-    p: Line, axis: Line, origin: Point, offset: Fraction, sample: Point
-) -> bool:
-    """The sample is off the axis and neither shifted source's ray from the
-    center is parallel to ``p``."""
-    if contains(axis, sample):
-        return False
-    d = axis.direction()
-    return not any(
-        is_parallel(line_from_points(origin, translate(sample, d, shift)), p)
-        for shift in (-offset, offset)
-    )
+        return q if q.y != 0 and (not for_swap or q.x != 0) else None
+    return _draw("a sample point", attempt)
 
 
 def _axis_strip_scene(rng: random.Random) -> pga.AxisStripScene:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         axis = _oriented_line(rng, "any")
         origin = _point_on(axis, rng)
         g = _oriented_line(rng, "any")
         if contains(g, origin):
-            continue
+            return None
         p = _parallel_of(g, rng)
         offset = _scalar(rng)
         sample = _point_on(g, rng)
-        if not _admits_axis_strip_sample(p, axis, origin, offset, sample):
-            continue
+        if contains(axis, sample) or _shifted_ray_parallel(g, axis, origin, offset):
+            return None
         return pga.AxisStripScene(
             g=g, p=p, axis=axis, origin=origin, offset=offset, sample=sample
         )
-    raise _exhausted("an axis strip scene")
+    return _draw("an axis strip scene", attempt)
 
 
 def _random_frame(rng: random.Random) -> Frame:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         m00, m01 = _scalar(rng), _scalar(rng)
         m10, m11 = _scalar(rng), _scalar(rng)
         if m00 * m11 - m01 * m10 == 0:
-            continue
+            return None
         return Frame(((m00, m01), (m10, m11)), _point(rng))
-    raise _exhausted("an invertible frame")
+    return _draw("an invertible frame", attempt)
 
 
-# ------------------------------------------------------------ replay helper
+# ------------------------------------------------------------ failure text
 
 def _replay(sub: str, scene) -> str:
     """The CLI command that re-runs ``scene``: one flag per scene field,
@@ -246,16 +244,61 @@ def _replay(sub: str, scene) -> str:
     return " ".join(words)
 
 
+def _fail(message: str, sub: str, *scenes) -> str:
+    """``message`` followed by the commands that re-run ``scenes``."""
+    return f"{message}; replay: {' and '.join(_replay(sub, scene) for scene in scenes)}"
+
+
+# ---------------------------------------------------- the two shift cases
+
+class _Shift(NamedTuple):
+    """One of the two cases of the distinguished point: shifts along the
+    x-axis (``phor``) or along the y-axis (``pver``).  Library functions are
+    held by name and looked up on ``dp`` when called."""
+
+    sub: str  # the CLI subcommand
+    label: str
+    moved: str  # how the text names a shifted point
+    construct: str
+    closed_form: str
+    rho_pair: str
+    oracle_case: dp.ProjectionCase
+    axis: Line  # the shifts run along it
+    rho_orients: Tuple[str, str]  # pair orientations the identity alternates
+
+    def run(self, scene: dp.TransversalScene) -> dp.ProjectionWitness:
+        return getattr(dp, self.construct)(scene)
+
+    def shifted(self, q: Point, amount: Fraction) -> Point:
+        """``q`` moved back by ``amount`` along the axis."""
+        return Point(q.x - amount, q.y) if self.axis is X_AXIS else Point(q.x, q.y - amount)
+
+
+_SHIFTS = (
+    _Shift(
+        "phor", "horizontal", "left-shifted", "p_hor", "p_hor_closed_form", "rho_pair",
+        dp.ProjectionCase.HORIZONTAL_A, X_AXIS, ("sloped", "vertical"),
+    ),
+    _Shift(
+        "pver", "vertical", "down-shifted", "p_ver", "p_ver_closed_form", "rho_tilde_pair",
+        dp.ProjectionCase.VERTICAL_B, Y_AXIS, ("sloped", "horizontal"),
+    ),
+)
+
+
+def _shifts_of(scene: dp.TransversalScene) -> List[_Shift]:
+    """The cases that exist for ``scene``: none shifts along the pair."""
+    return [shift for shift in _SHIFTS if not is_parallel(scene.g_s, shift.axis)]
+
+
 # ------------------------------------------------------------- the properties
 
 def _check_kernel_intersection(rng: random.Random, k: int) -> Optional[str]:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         l1 = _oriented_line(rng, "any")
         l2 = _oriented_line(rng, "any")
-        if not is_parallel(l1, l2):
-            break
-    else:
-        raise _exhausted("a non-parallel pair")
+        return None if is_parallel(l1, l2) else (l1, l2)
+    l1, l2 = _draw("a non-parallel pair", attempt)
     q = intersect(l1, l2)
     if not (contains(l1, q) and contains(l2, q)):
         return (
@@ -305,8 +348,11 @@ def _check_frame_round_trip(rng: random.Random, k: int) -> Optional[str]:
     return None
 
 
-def _rho_oracle(scene: dp.TransversalScene, tilde: bool) -> Fraction:
-    """Ray parameter from the full 4-equation, 3-unknown linear system."""
+def _rho_oracle(scene: dp.TransversalScene, shift: _Shift) -> Fraction:
+    """Ray parameter from the full 4-equation, 3-unknown linear system: the
+    point ``s + rho*w``, moved back by the shift of ``g_s`` (of ``g_t``),
+    is ``alpha*t`` (``beta*s``).  A base line's shift is where it meets the
+    shift axis."""
     s, t = scene.crossings()
     w = scene.l.direction()
     rows = [
@@ -315,34 +361,20 @@ def _rho_oracle(scene: dp.TransversalScene, tilde: bool) -> Fraction:
         [w.dx, 0, -s.x],
         [w.dy, 0, -s.y],
     ]
-    if tilde:
-        b_s = scene.g_s.y_intercept()
-        b_t = scene.g_t.y_intercept()
-        rhs = [-s.x, b_s - s.y, -s.x, b_t - s.y]
-    else:
-        a_s = scene.g_s.x_intercept()
-        a_t = scene.g_t.x_intercept()
-        rhs = [a_s - s.x, -s.y, a_t - s.x, -s.y]
+    rhs = []
+    for base in (scene.g_s, scene.g_t):
+        q = intersect(base, shift.axis)
+        rhs += [q.x - s.x, q.y - s.y]
     return solve_unique(rows, rhs)[0]
 
 
-def _check_rho_identity(rng: random.Random, k: int) -> Optional[str]:
-    scene = _transversal_scene(rng, g_orient=("sloped", "vertical")[k % 2])
-    first, second = dp.rho_pair(scene)
+def _check_rho_identity(shift: _Shift, rng: random.Random, k: int) -> Optional[str]:
+    scene = _transversal_scene(rng, g_orient=shift.rho_orients[k % 2])
+    first, second = getattr(dp, shift.rho_pair)(scene)
     if first != second:
-        return f"ray-parameter pair differs: {first} vs {second}; replay: {_replay('phor', scene)}"
-    if first != _rho_oracle(scene, tilde=False):
-        return f"pair disagrees with the linear-system solve; replay: {_replay('phor', scene)}"
-    return None
-
-
-def _check_rho_tilde_identity(rng: random.Random, k: int) -> Optional[str]:
-    scene = _transversal_scene(rng, g_orient=("sloped", "horizontal")[k % 2])
-    first, second = dp.rho_tilde_pair(scene)
-    if first != second:
-        return f"ray-parameter pair differs: {first} vs {second}; replay: {_replay('pver', scene)}"
-    if first != _rho_oracle(scene, tilde=True):
-        return f"pair disagrees with the linear-system solve; replay: {_replay('pver', scene)}"
+        return _fail(f"ray-parameter pair differs: {first} vs {second}", shift.sub, scene)
+    if first != _rho_oracle(scene, shift):
+        return _fail("pair disagrees with the linear-system solve", shift.sub, scene)
     return None
 
 
@@ -361,23 +393,14 @@ _PROP1_STRATA: Sequence[Tuple[str, str, bool]] = (
 def _check_closed_form_agreement(rng: random.Random, k: int) -> Optional[str]:
     g_orient, l_orient, coincident = _PROP1_STRATA[k % len(_PROP1_STRATA)]
     scene = _transversal_scene(rng, g_orient, l_orient, coincident)
-    if not scene.g_s.is_horizontal:
-        a = dp.p_hor(scene).point
-        b = dp.p_hor_closed_form(scene)
-        c = dp.oracle_point(scene, dp.ProjectionCase.HORIZONTAL_A)
+    for shift in _shifts_of(scene):
+        a = shift.run(scene).point
+        b = getattr(dp, shift.closed_form)(scene)
+        c = dp.oracle_point(scene, shift.oracle_case)
         if not (a == b == c):
-            return (
-                f"horizontal case disagrees: formula {a}, closed form {b}, oracle {c}; "
-                f"replay: {_replay('phor', scene)}"
-            )
-    if not scene.g_s.is_vertical:
-        a = dp.p_ver(scene).point
-        b = dp.p_ver_closed_form(scene)
-        c = dp.oracle_point(scene, dp.ProjectionCase.VERTICAL_B)
-        if not (a == b == c):
-            return (
-                f"vertical case disagrees: formula {a}, closed form {b}, oracle {c}; "
-                f"replay: {_replay('pver', scene)}"
+            return _fail(
+                f"{shift.label} case disagrees: formula {a}, closed form {b}, oracle {c}",
+                shift.sub, scene,
             )
     return None
 
@@ -387,26 +410,16 @@ def _check_shifted_membership(rng: random.Random, k: int) -> Optional[str]:
     s, t = scene.crossings()
     z_s = line_from_points(ORIGIN, s)
     z_t = line_from_points(ORIGIN, t)
-    if not scene.g_s.is_horizontal:
-        w = dp.p_hor(scene)
-        shifted_s = Point(w.point.x - w.a_or_b_s, w.point.y)
-        shifted_t = Point(w.point.x - w.a_or_b_t, w.point.y)
+    for shift in _shifts_of(scene):
+        w = shift.run(scene)
+        shifted_s = shift.shifted(w.point, w.a_or_b_s)
+        shifted_t = shift.shifted(w.point, w.a_or_b_t)
         if not contains(scene.l, w.point):
-            return f"point off the transversal; replay: {_replay('phor', scene)}"
+            return _fail("point off the transversal", shift.sub, scene)
         if shifted_s != Point(w.alpha * t.x, w.alpha * t.y) or not contains(z_t, shifted_s):
-            return f"left-shifted point misses the T ray; replay: {_replay('phor', scene)}"
+            return _fail(f"{shift.moved} point misses the T ray", shift.sub, scene)
         if shifted_t != Point(w.beta * s.x, w.beta * s.y) or not contains(z_s, shifted_t):
-            return f"left-shifted point misses the S ray; replay: {_replay('phor', scene)}"
-    if not scene.g_s.is_vertical:
-        w = dp.p_ver(scene)
-        shifted_s = Point(w.point.x, w.point.y - w.a_or_b_s)
-        shifted_t = Point(w.point.x, w.point.y - w.a_or_b_t)
-        if not contains(scene.l, w.point):
-            return f"point off the transversal; replay: {_replay('pver', scene)}"
-        if shifted_s != Point(w.alpha * t.x, w.alpha * t.y) or not contains(z_t, shifted_s):
-            return f"down-shifted point misses the T ray; replay: {_replay('pver', scene)}"
-        if shifted_t != Point(w.beta * s.x, w.beta * s.y) or not contains(z_s, shifted_t):
-            return f"down-shifted point misses the S ray; replay: {_replay('pver', scene)}"
+            return _fail(f"{shift.moved} point misses the S ray", shift.sub, scene)
     return None
 
 
@@ -414,23 +427,19 @@ def _check_trivial_intercepts(rng: random.Random, k: int) -> Optional[str]:
     # force one crossing onto a coordinate axis; the construction must
     # return that crossing itself
     case = k % 4
+    # cases 0/1 pin S or T to the x-axis, cases 2/3 to the y-axis
+    shift = _SHIFTS[case // 2]
     g = _oriented_line(rng, "sloped", avoid_origin=True)
     other = _parallel_of(g, rng)
-    # cases 0/1 pin S or T to the x-axis, cases 2/3 to the y-axis
-    pinned = Point(g.x_intercept(), 0) if case in (0, 1) else Point(0, g.y_intercept())
+    pinned = intersect(g, shift.axis)
     l = _line_through_point(rng, pinned, g, avoid_origin=True)
-    g_s, g_t = (g, other) if case in (0, 2) else (other, g)
+    g_s, g_t = (g, other) if case % 2 == 0 else (other, g)
     scene = dp.TransversalScene(g_s=g_s, g_t=g_t, l=l)
-    if case in (0, 1):
-        result = dp.p_hor(scene).point
-        sub = "phor"
-    else:
-        result = dp.p_ver(scene).point
-        sub = "pver"
+    result = shift.run(scene).point
     if result != pinned:
-        return (
+        return _fail(
             f"axis-pinned crossing {format_point(pinned)} not returned (got "
-            f"{format_point(result)}); replay: {_replay(sub, scene)}"
+            f"{format_point(result)})", shift.sub, scene,
         )
     return None
 
@@ -441,27 +450,16 @@ def _check_uniqueness(rng: random.Random, k: int) -> Optional[str]:
     z_s = line_from_points(ORIGIN, s)
     z_t = line_from_points(ORIGIN, t)
     w = scene.l.direction()
-    if not scene.g_s.is_horizontal:
-        witness = dp.p_hor(scene)
+    for shift in _shifts_of(scene):
+        witness = shift.run(scene)
         for _ in range(3):
             q = translate(witness.point, w, _scalar(rng, nonzero=True))
-            ok_t = contains(z_t, Point(q.x - witness.a_or_b_s, q.y))
-            ok_s = contains(z_s, Point(q.x - witness.a_or_b_t, q.y))
+            ok_t = contains(z_t, shift.shifted(q, witness.a_or_b_s))
+            ok_s = contains(z_s, shift.shifted(q, witness.a_or_b_t))
             if ok_t and ok_s:
-                return (
-                    f"second point {format_point(q)} also satisfies both memberships; "
-                    f"replay: {_replay('phor', scene)}"
-                )
-    if not scene.g_s.is_vertical:
-        witness = dp.p_ver(scene)
-        for _ in range(3):
-            q = translate(witness.point, w, _scalar(rng, nonzero=True))
-            ok_t = contains(z_t, Point(q.x, q.y - witness.a_or_b_s))
-            ok_s = contains(z_s, Point(q.x, q.y - witness.a_or_b_t))
-            if ok_t and ok_s:
-                return (
-                    f"second point {format_point(q)} also satisfies both memberships; "
-                    f"replay: {_replay('pver', scene)}"
+                return _fail(
+                    f"second point {format_point(q)} also satisfies both memberships",
+                    shift.sub, scene,
                 )
     return None
 
@@ -470,83 +468,75 @@ def _check_axis_main_contract(rng: random.Random, k: int) -> Optional[str]:
     scene = _axis_scene_main(rng)
     result = ap.construct_p(scene)
     if result.case_tag is not ap.AxisCase.MAIN:
-        return (
-            f"expected the main case, got {result.case_tag.value}; "
-            f"replay: {_replay('construct-p', scene)}"
-        )
+        return _fail(f"expected the main case, got {result.case_tag.value}", "construct-p", scene)
     failed = [name for name, ok in ap.verify_p2(result).items() if not ok]
     if failed:
-        return f"contract checks failed: {', '.join(failed)}; replay: {_replay('construct-p', scene)}"
+        return _fail(f"contract checks failed: {', '.join(failed)}", "construct-p", scene)
     if scene.g_s != scene.g_t and result.z_s == result.z_t:
-        return f"distinct base lines produced equal rays; replay: {_replay('construct-p', scene)}"
+        return _fail("distinct base lines produced equal rays", "construct-p", scene)
     return None
 
 
 def _check_axis_degenerate(rng: random.Random, k: int) -> Optional[str]:
     want_s = k % 2 == 0
-    for _ in range(_MAX_REJECTS):
+
+    def attempt():
         base = _transversal_scene(rng)
         s, t = base.crossings()
-        pinned = s if want_s else t
+        pinned, other = (s, t) if want_s else (t, s)
         axis = _line_through_point(rng, pinned, base.g_s, avoid_origin=False)
         if axis == base.l:
-            continue
+            return None
         origin = _point_on(axis, rng)
         if _on_any(origin, base.l, base.g_s, base.g_t):
-            continue
-        other = t if want_s else s
+            return None
         if contains(axis, other):
-            continue  # keep exactly one crossing pinned
+            return None  # keep exactly one crossing pinned
         scene = ap.AxisScene(
             g_s=base.g_s, g_t=base.g_t, l=base.l, axis=axis, origin=origin
         )
-        break
-    else:
-        raise _exhausted("a degenerate axis scene")
+        return scene, pinned
+
+    scene, pinned = _draw("a degenerate axis scene", attempt)
     result = ap.construct_p(scene)
     expected = ap.AxisCase.S_COINCIDES if want_s else ap.AxisCase.T_COINCIDES
     if result.case_tag is not expected:
-        return (
-            f"expected {expected.value}, got {result.case_tag.value}; "
-            f"replay: {_replay('construct-p', scene)}"
+        return _fail(
+            f"expected {expected.value}, got {result.case_tag.value}", "construct-p", scene
         )
     if result.p != pinned:
-        return (
-            f"degenerate case did not return the pinned crossing; "
-            f"replay: {_replay('construct-p', scene)}"
-        )
+        return _fail("degenerate case did not return the pinned crossing", "construct-p", scene)
     companion = result.t_p if want_s else result.s_p
     if companion != scene.origin:
-        return f"companion point is not the center; replay: {_replay('construct-p', scene)}"
+        return _fail("companion point is not the center", "construct-p", scene)
     failed = [name for name, ok in ap.verify_p2(result).items() if not ok]
     if failed:
-        return f"contract checks failed: {', '.join(failed)}; replay: {_replay('construct-p', scene)}"
+        return _fail(f"contract checks failed: {', '.join(failed)}", "construct-p", scene)
     return None
 
 
 def _check_axis_reduction(rng: random.Random, k: int) -> Optional[str]:
-    horizontal = k % 2 == 0
-    for _ in range(_MAX_REJECTS):
+    shift = _SHIFTS[k % 2]
+
+    def attempt():
         # sloped base lines keep both coordinate axes transversal to the pair
         scene = _transversal_scene(rng, g_orient="sloped")
         if contains(scene.g_s, ORIGIN) or contains(scene.g_t, ORIGIN):
-            continue
-        axis = X_AXIS if horizontal else Y_AXIS
-        s, t = scene.crossings()
-        if contains(axis, s) or contains(axis, t):
-            continue  # stay in the main case so the comparison is non-trivial
-        full = ap.AxisScene(
-            g_s=scene.g_s, g_t=scene.g_t, l=scene.l, axis=axis, origin=ORIGIN
-        )
-        break
-    else:
-        raise _exhausted("a reducible axis scene")
+            return None
+        if any(contains(shift.axis, q) for q in scene.crossings()):
+            return None  # stay in the main case so the comparison is non-trivial
+        return scene
+
+    scene = _draw("a reducible axis scene", attempt)
+    full = ap.AxisScene(
+        g_s=scene.g_s, g_t=scene.g_t, l=scene.l, axis=shift.axis, origin=ORIGIN
+    )
     got = ap.construct_p(full).p
-    want = dp.p_hor(scene).point if horizontal else dp.p_ver(scene).point
+    want = shift.run(scene).point
     if got != want:
-        return (
+        return _fail(
             f"axis construction gives {format_point(got)} but the direct one gives "
-            f"{format_point(want)}; replay: {_replay('construct-p', full)}"
+            f"{format_point(want)}", "construct-p", full,
         )
     return None
 
@@ -558,9 +548,9 @@ def _check_axis_frame_choice(rng: random.Random, k: int) -> Optional[str]:
         d = _transversal_direction(rng, scene.axis)
         other = ap.construct_p(scene, transversal=d).p
         if other != reference:
-            return (
+            return _fail(
                 f"point depends on the reduction frame: {format_point(reference)} vs "
-                f"{format_point(other)}; replay: {_replay('construct-p', scene)}"
+                f"{format_point(other)}", "construct-p", scene,
             )
     return None
 
@@ -575,16 +565,12 @@ def _check_strip_sample_invariance(rng: random.Random, k: int) -> Optional[str]:
         value = pg.nu(scene)
         closed = pg.nu_closed_form(scene)
         if value != closed:
-            return (
-                f"pipeline {value} vs closed form {closed}; "
-                f"replay: {_replay('nu', scene)}"
-            )
+            return _fail(f"pipeline {value} vs closed form {closed}", "nu", scene)
         if expected is None:
             expected, first_scene = value, scene
         elif value != expected:
-            return (
-                f"sample moved the intercept: {expected} vs {value}; "
-                f"replay: {_replay('nu', scene)} and {_replay('nu', first_scene)}"
+            return _fail(
+                f"sample moved the intercept: {expected} vs {value}", "nu", scene, first_scene
             )
     return None
 
@@ -594,25 +580,23 @@ def _check_strip_slope_invariance(rng: random.Random, k: int) -> Optional[str]:
     b_p = _scalar(rng)
     eps = abs(_scalar(rng))
     expected = b_p * eps / b_g
-    seen = 0
-    for _ in range(_MAX_REJECTS):
-        if seen == 10:
-            return None
+
+    def attempt():
         m = _scalar(rng, nonzero=True)
         g = Line(-m, 1, b_g)
-        if _shifted_ray_parallel(g, eps):
-            continue
+        return None if _shifted_ray_parallel(g, X_AXIS, ORIGIN, eps) else (m, g)
+
+    for _ in range(10):
+        m, g = _draw("slopes for the invariance sweep", attempt)
         scene = pg.StripScene(
             g=g, p=Line(-m, 1, b_p), epsilon=eps, sample=_strip_sample(rng, g)
         )
         value = pg.nu(scene)
         if value != expected:
-            return (
-                f"slope changed the intercept: got {value}, want {expected}; "
-                f"replay: {_replay('nu', scene)}"
+            return _fail(
+                f"slope changed the intercept: got {value}, want {expected}", "nu", scene
             )
-        seen += 1
-    raise _exhausted("slopes for the invariance sweep")
+    return None
 
 
 def _check_strip_closed_forms(rng: random.Random, k: int) -> Optional[str]:
@@ -621,19 +605,19 @@ def _check_strip_closed_forms(rng: random.Random, k: int) -> Optional[str]:
     w = pg.build_witness(scene)
     s_bar, t_bar = pg.s_bar_t_bar_closed_form(scene)
     if (s_bar, t_bar) != (w.s_bar, w.t_bar):
-        return f"projection closed form disagrees; replay: {_replay('nu', scene)}"
+        return _fail("projection closed form disagrees", "nu", scene)
     if w.t_bar != w.neg_s_bar and pg.connecting_line(scene) != w.connecting_line:
-        return f"connecting-line closed form disagrees; replay: {_replay('nu', scene)}"
+        return _fail("connecting-line closed form disagrees", "nu", scene)
     if pg.minus_nu_check(scene) != -w.nu:
-        return f"mirror intercept is not the negation; replay: {_replay('nu', scene)}"
+        return _fail("mirror intercept is not the negation", "nu", scene)
     if midpoint(w.s_bar, w.neg_s_bar) != ORIGIN or midpoint(w.t_bar, w.neg_t_bar) != ORIGIN:
-        return f"corners are not centrally symmetric; replay: {_replay('nu', scene)}"
+        return _fail("corners are not centrally symmetric", "nu", scene)
     corners = {w.s_bar, w.t_bar, w.neg_s_bar, w.neg_t_bar}
     if len(corners) == 4:
         side = line_from_points(w.s_bar, w.t_bar)
         opposite = line_from_points(w.neg_s_bar, w.neg_t_bar)
         if not is_parallel(side, opposite):
-            return f"opposite sides not parallel; replay: {_replay('nu', scene)}"
+            return _fail("opposite sides not parallel", "nu", scene)
     return None
 
 
@@ -643,76 +627,73 @@ def _check_strip_degenerate(rng: random.Random, k: int) -> Optional[str]:
         scene = pg.StripScene(g=g, p=p, epsilon=0, sample=_strip_sample(rng, g))
         w = pg.build_witness(scene)
         if w.nu != 0 or w.s_bar != w.t_bar:
-            return f"zero spread did not collapse; replay: {_replay('nu', scene)}"
+            return _fail("zero spread did not collapse", "nu", scene)
         if not contains(w.connecting_line, ORIGIN):
-            return f"zero-spread line misses the origin; replay: {_replay('nu', scene)}"
-    else:  # second line through the origin
-        for _ in range(_MAX_REJECTS):
-            g = _oriented_line(rng, "sloped", avoid_origin=True)
-            eps = abs(_scalar(rng))
-            if not _shifted_ray_parallel(g, eps):
-                break
-        else:
-            raise _exhausted("a collapsing strip scene")
-        p = Line(g.a, g.b, 0)
-        scene = pg.StripScene(g=g, p=p, epsilon=eps, sample=_strip_sample(rng, g))
-        w = pg.build_witness(scene)
-        if not (w.s_bar == w.t_bar == w.neg_s_bar == w.neg_t_bar == ORIGIN):
-            return f"corners did not collapse onto the origin; replay: {_replay('nu', scene)}"
-        if w.nu != 0:
-            return f"collapsed scene has nonzero intercept; replay: {_replay('nu', scene)}"
+            return _fail("zero-spread line misses the origin", "nu", scene)
+        return None
+
+    # second line through the origin
+    def attempt():
+        g = _oriented_line(rng, "sloped", avoid_origin=True)
+        eps = abs(_scalar(rng))
+        return None if _shifted_ray_parallel(g, X_AXIS, ORIGIN, eps) else (g, eps)
+
+    g, eps = _draw("a collapsing strip scene", attempt)
+    p = Line(g.a, g.b, 0)
+    scene = pg.StripScene(g=g, p=p, epsilon=eps, sample=_strip_sample(rng, g))
+    w = pg.build_witness(scene)
+    if not (w.s_bar == w.t_bar == w.neg_s_bar == w.neg_t_bar == ORIGIN):
+        return _fail("corners did not collapse onto the origin", "nu", scene)
+    if w.nu != 0:
+        return _fail("collapsed scene has nonzero intercept", "nu", scene)
     return None
 
 
 def _check_swap_invariance(rng: random.Random, k: int) -> Optional[str]:
-    for _ in range(_MAX_REJECTS):
+    def attempt():
         g, p, eps = _strip_triple(rng)
-        if not _shifted_ray_parallel(pg.swap_line(g), eps):
-            break
-    else:
-        raise _exhausted("a swappable strip triple")
+        # mu shifts the sample along the y-axis
+        return None if _shifted_ray_parallel(g, Y_AXIS, ORIGIN, eps) else (g, p, eps)
+
+    g, p, eps = _draw("a swappable strip triple", attempt)
     expected: Optional[Fraction] = None
     for _ in range(10):
         sample = _strip_sample(rng, g, for_swap=True)
         scene = pg.StripScene(g=g, p=p, epsilon=eps, sample=sample)
         value = pg.mu(scene)
         if value != pg.mu_closed_form(scene):
-            return f"swap closed form disagrees; replay: {_replay('mu', scene)}"
+            return _fail("swap closed form disagrees", "mu", scene)
         if not g.is_horizontal:
             conjectured = p.x_intercept() * eps / g.x_intercept()
             if value != conjectured:
-                return (
-                    f"swap value {value} differs from the x-intercept formula "
-                    f"{conjectured}; replay: {_replay('mu', scene)}"
+                return _fail(
+                    f"swap value {value} differs from the x-intercept formula {conjectured}",
+                    "mu", scene,
                 )
         if expected is None:
             expected = value
         elif value != expected:
-            return f"swap value moved with the sample; replay: {_replay('mu', scene)}"
+            return _fail("swap value moved with the sample", "mu", scene)
     return None
 
 
 def _check_axis_strip_invariance(rng: random.Random, k: int) -> Optional[str]:
     scene = _axis_strip_scene(rng)
     reference = pga.nu_general(scene).nu_point
+
+    def attempt():
+        # whether a shifted ray is parallel to the pair does not depend on
+        # the sample, and the scene has none; only the axis is left to avoid
+        sample = _point_on(scene.g, rng)
+        return None if contains(scene.axis, sample) else sample
+
     for _ in range(10):
-        for _ in range(_MAX_REJECTS):
-            sample = _point_on(scene.g, rng)
-            if _admits_axis_strip_sample(
-                scene.p, scene.axis, scene.origin, scene.offset, sample
-            ):
-                break
-        else:
-            raise _exhausted("a valid sample")
-        candidate = pga.AxisStripScene(
-            g=scene.g, p=scene.p, axis=scene.axis, origin=scene.origin,
-            offset=scene.offset, sample=sample,
-        )
+        candidate = replace(scene, sample=_draw("a valid sample", attempt))
         value = pga.nu_general(candidate).nu_point
         if value != reference:
-            return (
+            return _fail(
                 f"axis point moved with the sample: {format_point(reference)} vs "
-                f"{format_point(value)}; replay: {_replay('nu-general', candidate)}"
+                f"{format_point(value)}", "nu-general", candidate,
             )
     return None
 
@@ -724,9 +705,9 @@ def _check_axis_strip_equivariance(rng: random.Random, k: int) -> Optional[str]:
     want = frame.apply(pga.nu_general(scene).nu_point)
     got = pga.nu_general(moved).nu_point
     if got != want:
-        return (
-            f"frame transport broke: want {format_point(want)}, got {format_point(got)}; "
-            f"replay: {_replay('nu-general', scene)}"
+        return _fail(
+            f"frame transport broke: want {format_point(want)}, got {format_point(got)}",
+            "nu-general", scene,
         )
     return None
 
@@ -741,70 +722,59 @@ def _check_axis_strip_reduction(rng: random.Random, k: int) -> Optional[str]:
     nu_point = pga.nu_general(general).nu_point
     value = pg.nu_closed_form(pg.StripScene(g=g, p=p, epsilon=eps, sample=sample))
     if nu_point != Point(value, 0):
-        return (
-            f"general construction gives {format_point(nu_point)}, closed form "
-            f"{value}; replay: {_replay('nu-general', general)}"
+        return _fail(
+            f"general construction gives {format_point(nu_point)}, closed form {value}",
+            "nu-general", general,
         )
     return None
+
+
+def _rejected(code: str, what: str, build: Callable[[], object]) -> Optional[str]:
+    """``None`` if ``build`` raises the ``GeomError`` with ``code``."""
+    try:
+        build()
+    except GeomError as err:
+        return None if err.code == code else f"expected {code}, got {err.code}"
+    return f"{what} was accepted"
 
 
 def _check_error_codes(rng: random.Random, k: int) -> Optional[str]:
     case = k % 4
     if case == 0:  # transversal through the origin
         g = _oriented_line(rng, "sloped", avoid_origin=True)
-        l = line_through(ORIGIN, _direction(rng))
-        if is_parallel(l, g):
-            return None  # overlap with the parallel case; skip this draw
-        try:
-            dp.TransversalScene(g_s=g, g_t=_parallel_of(g, rng), l=l)
-        except GeomError as err:
-            return None if err.code == "E_ORIGIN_ON_L" else (
-                f"expected E_ORIGIN_ON_L, got {err.code}"
-            )
-        return "origin-on-transversal scene was accepted"
+        # a transversal parallel to the pair would test the parallel case
+        l = line_through(ORIGIN, _transversal_direction(rng, g))
+        return _rejected(
+            "E_ORIGIN_ON_L", "origin-on-transversal scene",
+            lambda: dp.TransversalScene(g_s=g, g_t=_parallel_of(g, rng), l=l),
+        )
     if case == 1:  # transversal parallel to the pair
         g = _oriented_line(rng, "any", avoid_origin=True)
-        try:
-            dp.TransversalScene(
+        return _rejected(
+            "E_PARALLEL", "parallel transversal",
+            lambda: dp.TransversalScene(
                 g_s=g, g_t=_parallel_of(g, rng), l=_parallel_of(g, rng, avoid_origin=True)
-            )
-        except GeomError as err:
-            return None if err.code == "E_PARALLEL" else (
-                f"expected E_PARALLEL, got {err.code}"
-            )
-        return "parallel transversal was accepted"
+            ),
+        )
     if case == 2:  # axis parallel to the pair
         base = _transversal_scene(rng)
         axis = _parallel_of(base.g_s, rng)
-        try:
-            ap.AxisScene(
+        return _rejected(
+            "E_PRECONDITION", "parallel axis",
+            lambda: ap.AxisScene(
                 g_s=base.g_s, g_t=base.g_t, l=base.l, axis=axis,
                 origin=_point_on(axis, rng),
-            )
-        except GeomError as err:
-            return None if err.code == "E_PRECONDITION" else (
-                f"expected E_PRECONDITION, got {err.code}"
-            )
-        return "parallel axis was accepted"
-    # case 3: projection ray parallel to the line pair
-    for _ in range(_MAX_REJECTS):
-        m = _scalar(rng, nonzero=True)
-        eps = abs(_scalar(rng, nonzero=True))
-        g = Line(-m, 1, -m * eps)  # arranges intercept + slope*spread == 0
-        if contains(g, ORIGIN):
-            continue
-        sample = _strip_sample(rng, g)
-        scene = pg.StripScene(g=g, p=_parallel_of(g, rng), epsilon=eps, sample=sample)
-        break
-    else:
-        raise _exhausted("a parallel-ray strip scene")
-    try:
-        pg.nu(scene)
-    except GeomError as err:
-        return None if err.code == "E_PARALLEL_PROJECTION" else (
-            f"expected E_PARALLEL_PROJECTION, got {err.code}; replay: {_replay('nu', scene)}"
+            ),
         )
-    return f"parallel projection ray was accepted; replay: {_replay('nu', scene)}"
+    # case 3: projection ray parallel to the line pair; g misses the origin,
+    # as its intercept -m*eps is not zero
+    m = _scalar(rng, nonzero=True)
+    eps = abs(_scalar(rng, nonzero=True))
+    g = Line(-m, 1, -m * eps)  # arranges intercept + slope*spread == 0
+    sample = _strip_sample(rng, g)
+    scene = pg.StripScene(g=g, p=_parallel_of(g, rng), epsilon=eps, sample=sample)
+    failure = _rejected("E_PARALLEL_PROJECTION", "parallel projection ray", lambda: pg.nu(scene))
+    return None if failure is None else _fail(failure, "nu", scene)
 
 
 # ------------------------------------------------------------------ engine
@@ -824,8 +794,8 @@ class PropertyReport:
 _PROPERTIES: Sequence[Tuple[str, Callable[[random.Random, int], Optional[str]]]] = (
     ("kernel-intersection", _check_kernel_intersection),
     ("kernel-frame-round-trip", _check_frame_round_trip),
-    ("ray-parameter-identity", _check_rho_identity),
-    ("ray-parameter-identity-swapped", _check_rho_tilde_identity),
+    ("ray-parameter-identity", partial(_check_rho_identity, _SHIFTS[0])),
+    ("ray-parameter-identity-swapped", partial(_check_rho_identity, _SHIFTS[1])),
     ("closed-form-agreement", _check_closed_form_agreement),
     ("shifted-membership", _check_shifted_membership),
     ("trivial-intercept-cases", _check_trivial_intercepts),

@@ -2,7 +2,10 @@
 
 Every flag value is taken as a plain string and parsed by the same grammar
 the library exposes, so a malformed line or point yields the structured
-parse error (exit code 2) instead of an argparse usage dump.  Geometry
+parse error (exit code 2) instead of an argparse usage dump.  So does an argv
+argparse cannot read (a missing or unknown flag): the parser raises the same
+``ParseError``.  A value word that starts with ``-`` and a digit, such as
+``--offset -3/2``, is the flag's value, as in ``--offset=-3/2``.  Geometry
 preconditions exit 3, an internal cross-check failure exits 4, and a failing
 check suite exits 1.
 
@@ -22,8 +25,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence
 
 from . import axis_projection as ap
 from . import double_projection as dp
@@ -69,10 +73,11 @@ def _report(
 ) -> int:
     """Print one construction result: the ``--json`` document, or the
     ``label: value`` text rows.  The inputs echo the scene's fields, whose
-    names are the document's keys."""
+    names are the document's keys.  ``elements`` builds the figure, and is
+    called only when an SVG is written."""
     # the SVG goes first, so a bad viewport flag prints only its error
     if args.svg_out:
-        _write_svg_out(args.svg_out, render_svg(title, elements, _viewport(args, Viewport())))
+        _write_svg_out(args.svg_out, render_svg(title, elements(), _viewport(args, Viewport())))
     if args.json:
         inputs = {f.name: getattr(scene, f.name) for f in dataclasses.fields(scene)}
         doc = {
@@ -149,7 +154,7 @@ def _cmd_projection(args) -> int:
     return _report(
         args, scene, {"p": w.point}, case, witnesses, rows,
         "Distinguished point on a transversal",
-        transversal_elements(scene, [w], mark_intercepts=True),
+        lambda: transversal_elements(scene, [w], mark_intercepts=True),
     )
 
 
@@ -172,7 +177,7 @@ def _cmd_construct_p(args) -> int:
     rows = [("case", case), *outputs.items(), ("verified", f"{sum(checks.values())}/{len(checks)}")]
     return _report(
         args, scene, outputs, case, witnesses, rows,
-        "Construction relative to an axis", axis_projection_elements(r),
+        "Construction relative to an axis", lambda: axis_projection_elements(r),
     )
 
 
@@ -200,7 +205,7 @@ def _cmd_strip(args) -> int:
     w = pg.mu_witness(scene) if swap else pg.build_witness(scene)
     return _report_parallelogram(
         args, scene, w, args.command, w.nu, "Parallelogram intercept",
-        strip_elements(scene, w, "μ" if swap else "ν"),
+        lambda: strip_elements(scene, w, "μ" if swap else "ν"),
     )
 
 
@@ -216,7 +221,7 @@ def _cmd_nu_general(args) -> int:
     r = pga.nu_general(scene)
     return _report_parallelogram(
         args, scene, r, "nu_point", r.nu_point, "Parallelogram intercept on an axis",
-        axis_strip_elements(r),
+        lambda: axis_strip_elements(r),
     )
 
 
@@ -261,6 +266,14 @@ def _cmd_figure(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports an unreadable argv as a ``ParseError``
+    instead of printing its usage and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(f"{self.prog}: {message}", 0, f"the arguments of '{self.prog} --help'")
+
+
 def _add_common_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="print a JSON result document")
     sub.add_argument("--svg-out", metavar="PATH", help="also render the scene as SVG")
@@ -285,7 +298,7 @@ def _line_flag(sub: argparse.ArgumentParser, name: str, role: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exactplane",
         description="Exact rational constructions on parallel lines and transversals.",
     )
@@ -380,9 +393,29 @@ def _report_error(args, err: GeomError) -> None:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
 
 
+def _value_words(argv: Sequence[str]) -> List[str]:
+    """``argv`` with each word that starts with ``-`` and a digit, such as
+    ``-3/2``, joined to the ``--flag`` before it as ``--flag=-3/2``: argparse
+    takes only a plain negative number for a value, and other such words
+    for flags."""
+    words: List[str] = []
+    for word in argv:
+        if words and re.fullmatch(r"--[\w-]+", words[-1]) and re.match(r"-[0-9]", word):
+            words[-1] += f"={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    words = _value_words(sys.argv[1:] if argv is None else argv)
+    # what an error envelope can tell while argparse has not read the words;
+    # argparse takes any prefix of "--json" longer than "--" for it
+    command = words[0] if words and not words[0].startswith("-") else None
+    wants_json = any(len(word) > 2 and "--json".startswith(word) for word in words)
+    args = argparse.Namespace(command=command, json=wants_json)
     try:
+        args = build_parser().parse_args(words)
         return args.handler(args)
     except ParseError as err:
         _report_error(args, err)

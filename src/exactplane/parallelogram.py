@@ -51,7 +51,7 @@ from .kernel import (
     swap_line,
     swap_point,
 )
-from .parallelogram_axis import AxisStripScene, nu_general
+from .parallelogram_axis import _nu_general_core
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,14 @@ def _on_axis(
 ) -> ParallelogramWitness:
     """``nu_general`` on a coordinate axis through the origin.  ``value_of``
     reads the intercept off the axis point; ``collapsed_line`` gives the line
-    to draw when the corners collapse, where ``nu_general`` has none."""
-    r = nu_general(
-        AxisStripScene(scene.g, scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
-    )
-    return ParallelogramWitness(
-        s=r.s, t=r.t, s_bar=r.s_bar, t_bar=r.t_bar,
-        neg_s_bar=r.neg_s_bar, neg_t_bar=r.neg_t_bar, nu=value_of(r.nu_point),
-        connecting_line=collapsed_line(scene) if r.connecting_line is None else r.connecting_line,
-    )
+    to draw when the corners collapse, where ``nu_general`` has none.
+
+    The scene and the caller's guard (sample off ``axis``) already meet every
+    ``AxisStripScene`` precondition, so the construction runs unvalidated."""
+    r = _nu_general_core(scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
+    if r["connecting_line"] is None:
+        r["connecting_line"] = collapsed_line(scene)
+    return ParallelogramWitness(nu=value_of(r.pop("nu_point")), **r)
 
 
 def build_witness(scene: StripScene) -> ParallelogramWitness:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     GeomError,
@@ -79,11 +79,12 @@ class AxisStripScene:
             raise PreconditionError("sample point lies on the axis")
 
     def shifted_sources(self):
-        d = self.axis.direction()
-        return (
-            translate(self.sample, d, -self.offset),
-            translate(self.sample, d, self.offset),
-        )
+        return _shifted_sources(self.axis, self.offset, self.sample)
+
+
+def _shifted_sources(axis: Line, offset: Fraction, sample: Point) -> Tuple[Point, Point]:
+    d = axis.direction()
+    return translate(sample, d, -offset), translate(sample, d, offset)
 
 
 @dataclass(frozen=True)
@@ -102,29 +103,34 @@ class AxisParallelogram:
 
 def nu_general(scene: AxisStripScene) -> AxisParallelogram:
     """Run the construction and return all four corners plus the axis point."""
+    return AxisParallelogram(
+        scene=scene,
+        **_nu_general_core(scene.p, scene.axis, scene.origin, scene.offset, scene.sample),
+    )
+
+
+def _nu_general_core(
+    p: Line, axis: Line, origin: Point, offset: Fraction, sample: Point
+) -> Dict[str, object]:
+    """The fields of the ``nu_general`` record other than ``scene``, for
+    inputs that already meet every ``AxisStripScene`` precondition."""
     # neither source is the center: both lie on the parallel to the axis
     # through the sample, which the scene keeps off the axis
-    s, t = scene.shifted_sources()
-    s_bar = project_through(scene.origin, s, scene.p)
-    t_bar = project_through(scene.origin, t, scene.p)
-    neg_s_bar = reflect_through(s_bar, scene.origin)
-    neg_t_bar = reflect_through(t_bar, scene.origin)
+    s, t = _shifted_sources(axis, offset, sample)
+    s_bar = project_through(origin, s, p)
+    t_bar = project_through(origin, t, p)
+    neg_s_bar = reflect_through(s_bar, origin)
+    neg_t_bar = reflect_through(t_bar, origin)
+    corners = dict(s_bar=s_bar, t_bar=t_bar, neg_s_bar=neg_s_bar, neg_t_bar=neg_t_bar, s=s, t=t)
     if t_bar == neg_s_bar:
         # every corner collapsed onto the center (p runs through it)
-        return AxisParallelogram(
-            s_bar=s_bar, t_bar=t_bar, neg_s_bar=neg_s_bar, neg_t_bar=neg_t_bar,
-            nu_point=scene.origin, scene=scene, s=s, t=t, connecting_line=None,
-        )
+        return dict(corners, nu_point=origin, connecting_line=None)
     connecting = line_from_points(t_bar, neg_s_bar)
-    if is_parallel(connecting, scene.axis):
+    if is_parallel(connecting, axis):
         raise InconsistentError(
             "connecting line is parallel to the axis, which valid input cannot produce"
         )
-    return AxisParallelogram(
-        s_bar=s_bar, t_bar=t_bar, neg_s_bar=neg_s_bar, neg_t_bar=neg_t_bar,
-        nu_point=intersect(connecting, scene.axis),
-        scene=scene, s=s, t=t, connecting_line=connecting,
-    )
+    return dict(corners, nu_point=intersect(connecting, axis), connecting_line=connecting)
 
 
 def nu_general_invariance(

@@ -246,6 +246,53 @@ class TestBadInputExits2:
         assert "E_PARSE" in r.stderr
 
 
+class TestArgvErrors:
+    """An argv argparse cannot read is the typed parse error, not a usage dump."""
+
+    @pytest.mark.parametrize("json_flag", ["--json", "--js"])
+    def test_missing_flag_under_json_prints_the_error_document(self, json_flag, capsys):
+        assert main(["phor", json_flag, "--line-g-s", "y=2x+4"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["construction"] == "phor"
+        assert doc["error"]["code"] == "E_PARSE"
+        assert "--line-g-t, --line-l" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["phor", "--line-g-s", "y=2x+4"],
+        ["check", "--seed", "abc"],
+        ["phor", *PIC1, "--no-such-flag"],
+        [],
+    ], ids=["missing", "bad-int", "unknown", "no-command"])
+    def test_text_mode_prints_the_parse_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[E_PARSE]: exactplane")
+        assert "usage:" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--offset", "-3/2"), ("--offset", "-3"), ("--line-g", "-2x+y=4"),
+    ])
+    def test_negative_value_as_its_own_word(self, flag, value, capsys):
+        argv = [
+            "nu-general", "--line-g", "y=2x+4", "--line-p", "y=2x+2",
+            "--line-axis", "1x-4y=4", "--origin", "(4, 0)", "--offset", "3",
+            "--sample", "(0, 4)", "--json",
+        ]
+        at = argv.index(flag) + 1
+        argv[at] = value
+        assert main(argv) == 0
+        separate = capsys.readouterr().out
+        joined = argv[:at - 1] + [f"{flag}={value}"] + argv[at + 1:]
+        assert main(joined) == 0
+        assert capsys.readouterr().out == separate
+
+    def test_negative_viewport_bound_as_its_own_word(self, capsys):
+        assert main(["figure", "pic1", "--xmin", "-1/2"]) == 0
+        separate = capsys.readouterr().out
+        assert main(["figure", "pic1", "--xmin=-1/2"]) == 0
+        assert capsys.readouterr().out == separate
+
+
 class TestHugeResults:
     """Exact results past the int-string and float limits print cleanly."""
 

@@ -2,13 +2,16 @@
 
 Flag values are canonical renderings of random lines, points and scalars
 (lines often parallel to a drawn one, points often on a drawn line, so
-valid scenes come up too), mangled copies of them, or arbitrary text.
-Whatever the argv, ``main`` must return 0, 2, 3 or 4, argparse may only
-exit with 0 or 2, and no other exception may escape.
+valid scenes come up too), mangled copies of them, or arbitrary text; a
+value is joined to its flag with ``=`` or given as the next word, and now
+and then a flag is left out.  Whatever the argv, ``main`` must return 0, 2,
+3 or 4, argparse may only exit with 0 (``--help``), and no other exception
+may escape.  A ``--json`` run that exits 2 prints one parse error document.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import event, given, settings
@@ -92,7 +95,11 @@ def argvs(draw, out_dir):
     argv = [command]
     if command == "figure":
         argv.append(_noisy(draw, draw(st.sampled_from(sorted(FIGURES)))))
-    argv += [f"--{name}={_noisy(draw, value)}" for name, value in flags.items()]
+    for name, value in flags.items():
+        if not draw(st.integers(0, 15)):
+            continue  # a missing required flag
+        value = _noisy(draw, value)
+        argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
     if command != "figure" and draw(st.booleans()):
         argv.append("--json")
     if draw(st.booleans()):
@@ -115,8 +122,13 @@ def test_every_argv_exits_with_a_documented_code(out_dir, data):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
-        except SystemExit as exit_:  # argparse rejects the argv
+        except SystemExit as exit_:  # argparse prints help
             code = exit_.code
+            assert code == 0, (argv, stderr.getvalue())
     event(f"{argv[0]} exit {code}")
     assert code in EXITS, (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    if code == 2 and "--json" in argv:
+        doc = json.loads(stdout.getvalue())
+        assert set(doc) == {"construction", "inputs", "error"}, argv
+        assert doc["error"]["code"] == "E_PARSE", argv
