@@ -60,7 +60,7 @@ from .kernel import (
     translate,
 )
 from .linsolve import solve_unique
-from .textio import format_line, format_point, format_scalar, format_value
+from .textio import field_flag, format_line, format_point, format_scalar, format_value
 
 _MAX_REJECTS = 10_000
 
@@ -232,12 +232,11 @@ def _random_frame(rng: random.Random) -> Frame:
 
 def _replay(sub: str, scene) -> str:
     """The CLI command that re-runs ``scene``: one flag per scene field,
-    ``--line-<name>`` for a line and ``--<name>`` otherwise."""
+    named by ``field_flag``."""
     words = ["exactplane", sub]
     for f in fields(scene):
         value = getattr(scene, f.name)
-        name = f.name.replace("_", "-")
-        flag = f"--line-{name}" if isinstance(value, Line) else f"--{name}"
+        flag = field_flag(f.name, isinstance(value, Line))
         text = shlex.quote(format_value(value))
         # argparse reads "-3/2" as an option, so a leading '-' needs "="
         words.append(f"{flag}={text}" if text.startswith("-") else f"{flag} {text}")

@@ -1,23 +1,27 @@
 """Command-line front end.
 
-Every flag value is taken as a plain string and parsed by the same grammar
-the library exposes, so a malformed line or point yields the structured
-parse error (exit code 2) instead of an argparse usage dump.  So does an argv
-argparse cannot read (a missing or unknown flag): the parser raises the same
-``ParseError``.  A value word that starts with ``-`` and a digit, such as
-``--offset -3/2``, is the flag's value, as in ``--offset=-3/2``.  Geometry
-preconditions exit 3, an internal cross-check failure exits 4, and a failing
-check suite exits 1.
+One table, ``_CONSTRUCTIONS``, gives each construction subcommand its scene
+type, runner and help line.  Each scene field is one required flag, named by
+``textio.field_flag`` (``g_s`` is ``--line-g-s``, ``origin`` is ``--origin``)
+and read as a plain string by the library's grammar for the field's type, so
+a malformed line or point yields the structured parse error (exit code 2)
+instead of an argparse usage dump.  So does any argv argparse cannot read (a
+missing or unknown flag, ``--trials 0``, an unknown figure or property): the
+parser raises the same ``ParseError``.  A value word that starts with ``-``
+and a digit, such as ``--offset -3/2``, is the flag's value, as in
+``--offset=-3/2``.  Geometry preconditions exit 3, an internal cross-check
+failure exits 4, and a failing check suite exits 1.
 
-Each construction handler builds its scene, runs it, and hands the result
-record to ``_report``, the one place that decides how a value prints: a
-point, line or rational as its canonical text (``textio.format_value``), an
-absent value as ``-``.  Without ``--json`` that is ``label: value`` rows.
-With ``--json`` it is one result document: ``construction``, ``inputs`` (the
-scene's fields, echoed in canonical text form), ``outputs``, ``case`` and
-``witnesses``, where a point becomes ``{"x", "y"}`` and rationals are ``p/q``
-strings, so the documents are exact and byte-stable.  A rejected run prints
-the same envelope with an ``error`` object and the raw input strings.
+Each runner hands its result record to ``_report``, the one place that
+decides how a value prints: a point, line or rational as its canonical text
+(``textio.format_value``), an absent value as ``-``.  Without ``--json`` that
+is ``label: value`` rows.  With ``--json`` it is one result document:
+``construction``, ``inputs`` (the scene's fields, echoed in canonical text
+form), ``outputs``, ``case`` and ``witnesses``, where a point becomes
+``{"x", "y"}`` and rationals are ``p/q`` strings, so the documents are exact
+and byte-stable.  A rejected run prints the same envelope with an ``error``
+object and the raw input strings.  Stdout is written only by ``_out``, and a
+reader that closes it early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from typing import Dict, List, NoReturn, Optional, Sequence
@@ -33,6 +38,7 @@ from . import axis_projection as ap
 from . import double_projection as dp
 from . import parallelogram as pg
 from . import parallelogram_axis as pga
+from . import textio
 from .checks import PROPERTY_NAMES, run_all, summarize
 from .errors import GeomError, InconsistentError, ParseError
 from .figures import (
@@ -45,10 +51,23 @@ from .figures import (
     transversal_elements,
 )
 from .kernel import Point
-from .textio import format_scalar, format_value, parse_line_spec, parse_point, parse_scalar
+from .textio import field_flag, format_scalar, format_value
 
 
 # ------------------------------------------------------------- output
+
+def _out(text: str) -> None:
+    """Write ``text`` to stdout.  If the reader has closed it, stdout is
+    pointed at the null device, so the interpreter's final flush cannot fail
+    either, and the run goes on to return its own exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
 
 def _json(value):
     """The JSON form of a record value: a point becomes ``{"x", "y"}``, a
@@ -87,10 +106,9 @@ def _report(
             "case": case,
             "witnesses": witnesses,
         }
-        print(json.dumps(_json(doc), indent=2, sort_keys=True))
+        _out(json.dumps(_json(doc), indent=2, sort_keys=True) + "\n")
     else:
-        for label, value in rows:
-            print(f"{label}: {_text(value)}")
+        _out("".join(f"{label}: {_text(value)}\n" for label, value in rows))
     return 0
 
 
@@ -106,15 +124,12 @@ def _write_svg_out(path: str, text: str) -> None:
         ) from None
 
 
-_VIEWPORT_FLAGS = ("xmin", "xmax", "ymin", "ymax", "width", "height")
-
-
 def _viewport(args, default: Viewport) -> Viewport:
     parsed = {}
-    for name in _VIEWPORT_FLAGS:
-        raw = getattr(args, name, None)
+    for f in dataclasses.fields(Viewport):
+        raw = getattr(args, f.name)
         if raw is not None:
-            parsed[name] = _pixels(name, raw) if name in ("width", "height") else parse_scalar(raw)
+            parsed[f.name] = _pixels(f.name, raw) if f.type == "int" else _read(f, raw)
     if not parsed:
         return default
     try:
@@ -134,13 +149,8 @@ def _pixels(name: str, raw: str) -> int:
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_projection(args) -> int:
+def _cmd_projection(args, scene: dp.TransversalScene) -> int:
     horizontal = args.command == "phor"
-    scene = dp.TransversalScene(
-        g_s=parse_line_spec(args.line_g_s),
-        g_t=parse_line_spec(args.line_g_t),
-        l=parse_line_spec(args.line_l),
-    )
     w = dp.p_hor(scene) if horizontal else dp.p_ver(scene)
     case = w.case_tag.value
     witnesses = {f.name: getattr(w, f.name) for f in dataclasses.fields(w) if f.name != "point"}
@@ -158,14 +168,7 @@ def _cmd_projection(args) -> int:
     )
 
 
-def _cmd_construct_p(args) -> int:
-    scene = ap.AxisScene(
-        g_s=parse_line_spec(args.line_g_s),
-        g_t=parse_line_spec(args.line_g_t),
-        l=parse_line_spec(args.line_l),
-        axis=parse_line_spec(args.line_axis),
-        origin=parse_point(args.origin),
-    )
+def _cmd_construct_p(args, scene: ap.AxisScene) -> int:
     r = ap.construct_p(scene)
     checks = ap.verify_p2(r)
     outputs = {
@@ -194,14 +197,8 @@ def _report_parallelogram(args, scene, record, label: str, value, title: str, el
     return _report(args, scene, {label: value}, case, witnesses, rows, title, elements)
 
 
-def _cmd_strip(args) -> int:
+def _cmd_strip(args, scene: pg.StripScene) -> int:
     swap = args.command == "mu"
-    scene = pg.StripScene(
-        g=parse_line_spec(args.line_g),
-        p=parse_line_spec(args.line_p),
-        epsilon=parse_scalar(args.epsilon),
-        sample=parse_point(args.sample),
-    )
     w = pg.mu_witness(scene) if swap else pg.build_witness(scene)
     return _report_parallelogram(
         args, scene, w, args.command, w.nu, "Parallelogram intercept",
@@ -209,15 +206,7 @@ def _cmd_strip(args) -> int:
     )
 
 
-def _cmd_nu_general(args) -> int:
-    scene = pga.AxisStripScene(
-        g=parse_line_spec(args.line_g),
-        p=parse_line_spec(args.line_p),
-        axis=parse_line_spec(args.line_axis),
-        origin=parse_point(args.origin),
-        offset=parse_scalar(args.offset),
-        sample=parse_point(args.sample),
-    )
+def _cmd_nu_general(args, scene: pga.AxisStripScene) -> int:
     r = pga.nu_general(scene)
     return _report_parallelogram(
         args, scene, r, "nu_point", r.nu_point, "Parallelogram intercept on an axis",
@@ -225,42 +214,66 @@ def _cmd_nu_general(args) -> int:
     )
 
 
+# subcommand -> (scene type, runner, help line); each scene field is a flag
+_CONSTRUCTIONS = {
+    "phor": (dp.TransversalScene, _cmd_projection,
+             "point whose horizontal shifts land on the two origin rays"),
+    "pver": (dp.TransversalScene, _cmd_projection,
+             "point whose vertical shifts land on the two origin rays"),
+    "construct-p": (ap.AxisScene, _cmd_construct_p,
+                    "the same point relative to an arbitrary axis and center"),
+    "nu": (pg.StripScene, _cmd_strip, "x-axis intercept of the parallelogram's connecting line"),
+    "mu": (pg.StripScene, _cmd_strip, "the coordinate-swapped variant of nu"),
+    "nu-general": (pga.AxisStripScene, _cmd_nu_general,
+                   "the parallelogram intercept relative to an arbitrary axis"),
+}
+
+# a field's type (a name: annotations are postponed) -> its flag's metavar
+# and its textio reader, looked up by name when called so that a profiler's
+# wrapper around the reader sees the call
+_READERS = {
+    "Line": ("SPEC", "parse_line_spec"),
+    "Point": ("POINT", "parse_point"),
+    "Fraction": ("R", "parse_scalar"),
+}
+
+_FIELD_HELP = {
+    "g_s": "first base line",
+    "g_t": "second base line",
+    "l": "transversal line",
+    "axis": "reference axis",
+    "g": "source line",
+    "p": "target line (parallel to the source)",
+    "origin": "projection center on the axis, e.g. '(3, 0)'",
+    "epsilon": "half-spread, e.g. '4' or '1/2'",
+    "offset": "signed shift along the axis direction",
+    "sample": "sample point on the source line",
+}
+
+
+def _read(field: dataclasses.Field, raw: str):
+    return getattr(textio, _READERS[field.type][1])(raw)
+
+
+def _run_construction(args) -> int:
+    scene_type, run, _ = _CONSTRUCTIONS[args.command]
+    fields = dataclasses.fields(scene_type)
+    return run(args, scene_type(**{f.name: _read(f, getattr(args, f.name)) for f in fields}))
+
+
 def _cmd_check(args) -> int:
-    names: Optional[List[str]] = None
-    if args.only is not None:
-        names = [name.strip() for name in args.only.split(",") if name.strip()]
-        unknown = sorted(set(names) - set(PROPERTY_NAMES))
-        if unknown or not names:
-            # an empty list would pass on zero evidence
-            print(
-                f"unknown properties: {', '.join(unknown)}" if unknown else "--only names no property",
-                file=sys.stderr,
-            )
-            print(f"available: {', '.join(PROPERTY_NAMES)}", file=sys.stderr)
-            return 2
-    if args.trials < 1:
-        print(f"--trials must be positive, not {args.trials}", file=sys.stderr)
-        return 2
-    reports = run_all(args.seed, args.trials, names)
-    print(summarize(reports))
+    reports = run_all(args.seed, args.trials, args.only)
+    _out(summarize(reports) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_figure(args) -> int:
-    try:
-        builder = FIGURES[args.name]
-    except KeyError:
-        print(
-            f"unknown figure {args.name!r}; available: {', '.join(sorted(FIGURES))}",
-            file=sys.stderr,
-        )
-        return 2
-    title, elements, default_vp = builder()
+    title, elements, default_vp = FIGURES[args.name]()
     svg = render_svg(title, elements, _viewport(args, default_vp))
     if args.svg_out:
         _write_svg_out(args.svg_out, svg)
     else:
-        sys.stdout.write(svg)
+        _out(svg)
     return 0
 
 
@@ -274,27 +287,31 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}", 0, f"the arguments of '{self.prog} --help'")
 
 
-def _add_common_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="print a JSON result document")
-    sub.add_argument("--svg-out", metavar="PATH", help="also render the scene as SVG")
-    _add_viewport_flags(sub)
+def _trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, not {trials}")
+    return trials
+
+
+def _property_names(text: str) -> List[str]:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = sorted(set(names) - set(PROPERTY_NAMES))
+    if unknown or not names:
+        # an empty list would pass on zero evidence
+        problem = f"unknown properties: {', '.join(unknown)}" if unknown else "names no property"
+        raise argparse.ArgumentTypeError(f"{problem}; available: {', '.join(PROPERTY_NAMES)}")
+    return names
 
 
 def _add_viewport_flags(sub: argparse.ArgumentParser) -> None:
-    for name in ("xmin", "xmax", "ymin", "ymax"):
-        sub.add_argument(f"--{name}", metavar="R", help=f"viewport {name} (rational)")
-    sub.add_argument("--width", metavar="PX", help="viewport width in pixels")
-    sub.add_argument("--height", metavar="PX", help="viewport height in pixels")
-
-
-def _line_flag(sub: argparse.ArgumentParser, name: str, role: str) -> None:
-    sub.add_argument(
-        f"--line-{name}",
-        dest=f"line_{name.replace('-', '_')}",
-        metavar="SPEC",
-        required=True,
-        help=f"{role}, e.g. 'y=2*x+4', 'x=-2' or '2x+3y=1/2'",
-    )
+    for f in dataclasses.fields(Viewport):
+        unit = "in pixels" if f.type == "int" else "(rational)"
+        metavar = "PX" if f.type == "int" else _READERS[f.type][0]
+        sub.add_argument(field_flag(f.name, False), metavar=metavar, help=f"viewport {f.name} {unit}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,60 +321,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (
-        ("phor", "point whose horizontal shifts land on the two origin rays"),
-        ("pver", "point whose vertical shifts land on the two origin rays"),
-    ):
+    for name, (scene_type, _, blurb) in _CONSTRUCTIONS.items():
         sub = commands.add_parser(name, help=blurb)
-        _line_flag(sub, "g-s", "first base line")
-        _line_flag(sub, "g-t", "second base line")
-        _line_flag(sub, "l", "transversal line")
-        _add_common_output_flags(sub)
-        sub.set_defaults(handler=_cmd_projection)
-
-    sub = commands.add_parser(
-        "construct-p", help="the same point relative to an arbitrary axis and center"
-    )
-    _line_flag(sub, "g-s", "first base line")
-    _line_flag(sub, "g-t", "second base line")
-    _line_flag(sub, "l", "transversal line")
-    _line_flag(sub, "axis", "reference axis")
-    sub.add_argument("--origin", metavar="POINT", required=True, help="center, e.g. '(3, 0)'")
-    _add_common_output_flags(sub)
-    sub.set_defaults(handler=_cmd_construct_p)
-
-    for name, blurb in (
-        ("nu", "x-axis intercept of the parallelogram's connecting line"),
-        ("mu", "the coordinate-swapped variant of nu"),
-    ):
-        sub = commands.add_parser(name, help=blurb)
-        _line_flag(sub, "g", "source line")
-        _line_flag(sub, "p", "target line (parallel to the source)")
-        sub.add_argument("--epsilon", metavar="R", required=True, help="half-spread, e.g. '4' or '1/2'")
-        sub.add_argument("--sample", metavar="POINT", required=True, help="sample point on the source line")
-        _add_common_output_flags(sub)
-        sub.set_defaults(handler=_cmd_strip)
-
-    sub = commands.add_parser(
-        "nu-general", help="the parallelogram intercept relative to an arbitrary axis"
-    )
-    _line_flag(sub, "g", "source line")
-    _line_flag(sub, "p", "target line (parallel to the source)")
-    _line_flag(sub, "axis", "reference axis")
-    sub.add_argument("--origin", metavar="POINT", required=True, help="projection center on the axis")
-    sub.add_argument("--offset", metavar="R", required=True, help="signed shift along the axis direction")
-    sub.add_argument("--sample", metavar="POINT", required=True, help="sample point on the source line")
-    _add_common_output_flags(sub)
-    sub.set_defaults(handler=_cmd_nu_general)
+        for f in dataclasses.fields(scene_type):
+            example = ", e.g. 'y=2*x+4', 'x=-2' or '2x+3y=1/2'" if f.type == "Line" else ""
+            sub.add_argument(
+                field_flag(f.name, f.type == "Line"), dest=f.name, metavar=_READERS[f.type][0],
+                required=True, help=_FIELD_HELP[f.name] + example,
+            )
+        sub.add_argument("--json", action="store_true", help="print a JSON result document")
+        sub.add_argument("--svg-out", metavar="PATH", help="also render the scene as SVG")
+        _add_viewport_flags(sub)
+        sub.set_defaults(handler=_run_construction)
 
     sub = commands.add_parser("check", help="run the seeded property suite")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sub.add_argument("--trials", type=int, default=100, help="trials per property (default 100)")
-    sub.add_argument("--only", metavar="NAMES", help="comma-separated property names")
+    sub.add_argument("--trials", type=_trials, default=100, help="trials per property (default 100)")
+    sub.add_argument(
+        "--only", type=_property_names, metavar="NAMES", help="comma-separated property names"
+    )
     sub.set_defaults(handler=_cmd_check, json=False)
 
     sub = commands.add_parser("figure", help="render a built-in figure as SVG")
-    sub.add_argument("name", help=f"one of: {', '.join(sorted(FIGURES))}")
+    figures = sorted(FIGURES)
+    sub.add_argument("name", choices=figures, metavar="name", help=f"one of: {', '.join(figures)}")
     sub.add_argument("--svg-out", metavar="PATH", help="write here instead of stdout")
     _add_viewport_flags(sub)
     sub.set_defaults(handler=_cmd_figure, json=False)
@@ -365,19 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# every construction input flag; the error envelope echoes them raw
-_INPUT_DESTS = (
-    "line_g_s", "line_g_t", "line_l", "line_axis", "line_g", "line_p",
-    "origin", "epsilon", "offset", "sample",
-)
-
-
 def _raw_inputs(args) -> Dict[str, str]:
-    return {
-        dest.removeprefix("line_"): getattr(args, dest)
-        for dest in _INPUT_DESTS
-        if getattr(args, dest, None) is not None
-    }
+    """The scene fields' flag values as given, once argparse has read them."""
+    entry = _CONSTRUCTIONS.get(args.command) if hasattr(args, "handler") else None
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(entry[0])} if entry else {}
 
 
 def _report_error(args, err: GeomError) -> None:
@@ -388,7 +366,7 @@ def _report_error(args, err: GeomError) -> None:
             "inputs": _raw_inputs(args),
             "error": {"code": err.code, "message": str(err)},
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _out(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
 

@@ -53,6 +53,13 @@ def format_value(value) -> str:
     return format_scalar(value)
 
 
+def field_flag(name: str, is_line: bool) -> str:
+    """The CLI flag of a scene field: ``--line-<name>`` for a line and
+    ``--<name>`` otherwise, with ``_`` written as ``-``."""
+    flag = name.replace("_", "-")
+    return f"--line-{flag}" if is_line else f"--{flag}"
+
+
 class _Scanner:
     """Cursor over the raw text; positions in errors index the original string."""
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -262,7 +263,14 @@ class TestArgvErrors:
         ["check", "--seed", "abc"],
         ["phor", *PIC1, "--no-such-flag"],
         [],
-    ], ids=["missing", "bad-int", "unknown", "no-command"])
+        ["figure", "pic99"],
+        ["check", "--trials", "0"],
+        ["check", "--only", ","],
+        ["check", "--only", "nope"],
+    ], ids=[
+        "missing", "bad-int", "unknown", "no-command",
+        "unknown-figure", "zero-trials", "no-property", "unknown-property",
+    ])
     def test_text_mode_prints_the_parse_error(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -291,6 +299,29 @@ class TestArgvErrors:
         separate = capsys.readouterr().out
         assert main(["figure", "pic1", "--xmin=-1/2"]) == 0
         assert capsys.readouterr().out == separate
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the output quietly: no
+    traceback, and the run's own exit code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["phor", *PIC1], 0),
+        (["phor", *PIC1, "--json"], 0),
+        (["figure", "pic1"], 0),
+        (["check", "--trials", "1", "--only", "kernel-intersection"], 0),
+        (["phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=(1", "--json"], 2),
+    ], ids=["phor", "phor-json", "figure", "check", "error-document"])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, code):
+        # a pipe whose read end is closed fails every write, unlike a
+        # reader that exits at some point while the child writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(BASE + argv, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (code, b"")
 
 
 class TestHugeResults:

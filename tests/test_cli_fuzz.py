@@ -6,7 +6,8 @@ valid scenes come up too), mangled copies of them, or arbitrary text; a
 value is joined to its flag with ``=`` or given as the next word, and now
 and then a flag is left out.  Whatever the argv, ``main`` must return 0, 2,
 3 or 4, argparse may only exit with 0 (``--help``), and no other exception
-may escape.  A ``--json`` run that exits 2 prints one parse error document.
+may escape.  A ``--json`` run that exits 2 prints one parse error document,
+and any other run that exits 2 prints the parse error on stderr.
 """
 
 import contextlib
@@ -69,10 +70,10 @@ def argvs(draw, out_dir):
     ))
     flags = {}
     if command == "check":
-        # well-formed apart from the seed, so a run stays a few milliseconds
+        # at most two trials of one property, so a run stays a few milliseconds
         seed = draw(st.one_of(st.integers(-5, 10**6).map(str), st.text(max_size=4)))
-        trials = draw(st.integers(1, 2))
-        prop = draw(st.sampled_from(PROPERTY_NAMES))
+        trials = draw(st.integers(-1, 2))
+        prop = _noisy(draw, draw(st.sampled_from(PROPERTY_NAMES)))
         return ["check", f"--seed={seed}", f"--trials={trials}", f"--only={prop}"]
     if command in ("phor", "pver", "construct-p"):
         g_s = _off_origin(draw)
@@ -132,3 +133,5 @@ def test_every_argv_exits_with_a_documented_code(out_dir, data):
         doc = json.loads(stdout.getvalue())
         assert set(doc) == {"construction", "inputs", "error"}, argv
         assert doc["error"]["code"] == "E_PARSE", argv
+    elif code == 2:
+        assert stderr.getvalue().startswith("error[E_PARSE]: "), (argv, stderr.getvalue())

@@ -1,7 +1,11 @@
-"""The geometry layers must not depend on the presentation layers.
+"""The geometry layers must not depend on the presentation layers, nor the
+presentation layers on the ones above them.
 
-Reads each geometry module's import statements (without importing it) and
-fails if any of them names ``textio``, ``figures``, ``checks`` or ``cli``.
+Reads each module's import statements (without importing it) and fails if a
+geometry module names ``textio``, ``figures``, ``checks`` or ``cli``, if
+``textio`` (whose flag rule ``cli`` and ``checks`` share) names ``figures``,
+``checks`` or ``cli``, or if ``figures`` or ``checks`` names the other or
+``cli``.
 """
 
 import ast
@@ -21,6 +25,12 @@ GEOMETRY = (
     "parallelogram_axis",
 )
 PRESENTATION = {"textio", "figures", "checks", "cli"}
+# each presentation module -> the presentation modules it must not import
+PRESENTATION_BELOW = {
+    "textio": {"figures", "checks", "cli"},
+    "figures": {"checks", "cli"},
+    "checks": {"figures", "cli"},
+}
 
 
 def imported_modules(module: str):
@@ -37,11 +47,17 @@ def imported_modules(module: str):
                     yield alias.name
 
 
+def offending_imports(module: str, forbidden):
+    return sorted(name for name in imported_modules(module) if name.split(".")[-1] in forbidden)
+
+
 @pytest.mark.parametrize("module", GEOMETRY)
 def test_geometry_module_imports_no_presentation_layer(module):
-    offending = sorted(
-        name
-        for name in imported_modules(module)
-        if name.split(".")[-1] in PRESENTATION
-    )
+    offending = offending_imports(module, PRESENTATION)
+    assert offending == [], f"{module} imports {offending}"
+
+
+@pytest.mark.parametrize("module", list(PRESENTATION_BELOW))
+def test_presentation_module_imports_no_layer_above_it(module):
+    offending = offending_imports(module, PRESENTATION_BELOW[module])
     assert offending == [], f"{module} imports {offending}"
