@@ -73,7 +73,6 @@ from .axis_projection import (
     verify_p2,
 )
 from .parallelogram import (
-    ParallelogramWitness,
     StripScene,
     build_witness,
     connecting_line,

@@ -20,8 +20,9 @@ is ``label: value`` rows.  With ``--json`` it is one result document:
 form), ``outputs``, ``case`` and ``witnesses``, where a point becomes
 ``{"x", "y"}`` and rationals are ``p/q`` strings, so the documents are exact
 and byte-stable.  A rejected run prints the same envelope with an ``error``
-object and the raw input strings.  Stdout is written only by ``_out``, and a
-reader that closes it early does not change the exit code.
+object and the raw input strings.  Stdout is written only by ``_out``.  A
+reader that closes it early does not change the exit code; any other failed
+write exits 2 with the parse error on stderr.
 """
 
 from __future__ import annotations
@@ -57,16 +58,22 @@ from .textio import field_flag, format_scalar, format_value
 # ------------------------------------------------------------- output
 
 def _out(text: str) -> None:
-    """Write ``text`` to stdout.  If the reader has closed it, stdout is
-    pointed at the null device, so the interpreter's final flush cannot fail
-    either, and the run goes on to return its own exit code."""
+    """Write ``text`` to stdout.  If that fails, stdout is pointed at the
+    null device, so the interpreter's final flush cannot fail either.  A
+    reader that has closed it ends the output quietly, and the run goes on to
+    return its own exit code.  Any other failure, such as a full device, is
+    reported on stderr, also under ``--json``, and exits 2 at once."""
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as err:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(err, BrokenPipeError):
+            reason = err.strerror or err
+            print(f"error[{ParseError.code}]: cannot write stdout: {reason}", file=sys.stderr)
+            sys.exit(2)
 
 
 def _json(value):
@@ -184,9 +191,9 @@ def _cmd_construct_p(args, scene: ap.AxisScene) -> int:
     )
 
 
-def _report_parallelogram(args, scene, record, label: str, value, title: str, elements) -> int:
-    """The shared report of ``nu``/``mu`` (a ``ParallelogramWitness``) and
-    ``nu-general`` (an ``AxisParallelogram``)."""
+def _report_parallelogram(args, record, label: str, value, title: str, elements) -> int:
+    """The shared report of ``nu``, ``mu`` and ``nu-general``, which all
+    build one ``AxisParallelogram``; its inputs echo the record's scene."""
     case = "collapsed" if record.t_bar == record.neg_s_bar else "main"
     corners = ("s_bar", "t_bar", "neg_s_bar", "neg_t_bar")
     witnesses = {name: getattr(record, name) for name in ("s", "t", *corners, "connecting_line")}
@@ -194,14 +201,14 @@ def _report_parallelogram(args, scene, record, label: str, value, title: str, el
         (label, value), *((name, witnesses[name]) for name in corners),
         ("connecting", record.connecting_line), ("case", case),
     ]
-    return _report(args, scene, {label: value}, case, witnesses, rows, title, elements)
+    return _report(args, record.scene, {label: value}, case, witnesses, rows, title, elements)
 
 
 def _cmd_strip(args, scene: pg.StripScene) -> int:
     swap = args.command == "mu"
     w = pg.mu_witness(scene) if swap else pg.build_witness(scene)
     return _report_parallelogram(
-        args, scene, w, args.command, w.nu, "Parallelogram intercept",
+        args, w, args.command, w.nu, "Parallelogram intercept",
         lambda: strip_elements(scene, w, "μ" if swap else "ν"),
     )
 
@@ -209,7 +216,7 @@ def _cmd_strip(args, scene: pg.StripScene) -> int:
 def _cmd_nu_general(args, scene: pga.AxisStripScene) -> int:
     r = pga.nu_general(scene)
     return _report_parallelogram(
-        args, scene, r, "nu_point", r.nu_point, "Parallelogram intercept on an axis",
+        args, r, "nu_point", r.nu_point, "Parallelogram intercept on an axis",
         lambda: axis_strip_elements(r),
     )
 

@@ -39,7 +39,7 @@ from .kernel import (
     parallel_through,
     scalar,
 )
-from .parallelogram import ParallelogramWitness, StripScene, build_witness
+from .parallelogram import StripScene, build_witness
 from .parallelogram_axis import AxisParallelogram, AxisStripScene, nu_general
 from .textio import format_scalar
 
@@ -262,17 +262,53 @@ def axis_projection_elements(result: AxisProjectionResult) -> List[Element]:
     return elements
 
 
-def strip_elements(
-    scene: StripScene, witness: ParallelogramWitness, value_label: str = "ν"
+def _rays_and_link(record: AxisParallelogram, center: Point) -> List[Element]:
+    """The rays from the center through S and T, and the connecting line."""
+    elements: List[Element] = [
+        LineElement(line_from_points(center, record.s), "", "ray"),
+        LineElement(line_from_points(center, record.t), "", "ray"),
+    ]
+    if record.connecting_line is not None:
+        elements.append(LineElement(record.connecting_line, "", "link"))
+    return elements
+
+
+def _corners_and_marks(
+    record: AxisParallelogram, center: Point,
+    center_label: str, s_label: str, t_label: str, value_label: str,
 ) -> List[Element]:
-    """The parallelogram construction; value_label names the intercept mark."""
-    vertical_variant = value_label == "μ"
+    """The parallelogram, unless corners coincide, and its nine marks."""
+    corners = (record.s_bar, record.t_bar, record.neg_s_bar, record.neg_t_bar)
+    elements: List[Element] = []
+    if len(set(corners)) == 4:
+        elements.append(PolygonElement(corners, "para"))
+    bar = "̄"
+    elements.extend(
+        [
+            MarkElement(center, center_label),
+            MarkElement(record.scene.sample, "(x̂|ŷ)"),
+            MarkElement(record.s, s_label),
+            MarkElement(record.t, t_label),
+            MarkElement(record.s_bar, "S" + bar),
+            MarkElement(record.t_bar, "T" + bar),
+            MarkElement(record.neg_s_bar, "-S" + bar),
+            MarkElement(record.neg_t_bar, "-T" + bar),
+            MarkElement(record.nu_point, value_label),
+        ]
+    )
+    return elements
+
+
+def strip_elements(
+    scene: StripScene, witness: AxisParallelogram, value_label: str = "ν"
+) -> List[Element]:
+    """The ``nu`` or ``mu`` parallelogram; value_label names the intercept
+    mark, and ``μ`` marks the sources S_v and T_v."""
+    suffix = "_v" if value_label == "μ" else ""
     elements: List[Element] = [
         LineElement(scene.g, "G", "base"),
         LineElement(scene.p, "P", "base"),
-        LineElement(line_from_points(ORIGIN, witness.s), "", "ray"),
-        LineElement(line_from_points(ORIGIN, witness.t), "", "ray"),
-        LineElement(witness.connecting_line, "", "link"),
+        *_rays_and_link(witness, ORIGIN),
     ]
     if witness.s_bar != witness.neg_t_bar:
         elements.append(
@@ -280,59 +316,21 @@ def strip_elements(
                 line_from_points(witness.s_bar, witness.neg_t_bar), "", "link-dashed"
             )
         )
-    corners = (witness.s_bar, witness.t_bar, witness.neg_s_bar, witness.neg_t_bar)
-    if len(set(corners)) == 4:
-        elements.append(PolygonElement(corners, "para"))
-    bar = "̄"
-    elements.extend(
-        [
-            MarkElement(ORIGIN, "0"),
-            MarkElement(scene.sample, "(x̂|ŷ)"),
-            MarkElement(witness.s, "S_v" if vertical_variant else "S"),
-            MarkElement(witness.t, "T_v" if vertical_variant else "T"),
-            MarkElement(witness.s_bar, "S" + bar),
-            MarkElement(witness.t_bar, "T" + bar),
-            MarkElement(witness.neg_s_bar, "-S" + bar),
-            MarkElement(witness.neg_t_bar, "-T" + bar),
-        ]
+    return elements + _corners_and_marks(
+        witness, ORIGIN, "0", "S" + suffix, "T" + suffix, value_label
     )
-    if vertical_variant:
-        elements.append(MarkElement(Point(0, witness.nu), value_label))
-    else:
-        elements.append(MarkElement(Point(witness.nu, 0), value_label))
-    return elements
 
 
 def axis_strip_elements(result: AxisParallelogram) -> List[Element]:
     scene = result.scene
-    elements: List[Element] = [
+    return [
         LineElement(scene.g, "G", "base"),
         LineElement(scene.p, "P", "base"),
         LineElement(scene.axis, "Axis", "axis-line"),
         LineElement(parallel_through(scene.axis, scene.sample), "Âxis", "axis-line-dashed"),
-        LineElement(line_from_points(scene.origin, result.s), "", "ray"),
-        LineElement(line_from_points(scene.origin, result.t), "", "ray"),
+        *_rays_and_link(result, scene.origin),
+        *_corners_and_marks(result, scene.origin, "Origin", "S", "T", "ν"),
     ]
-    if result.connecting_line is not None:
-        elements.append(LineElement(result.connecting_line, "", "link"))
-    corners = (result.s_bar, result.t_bar, result.neg_s_bar, result.neg_t_bar)
-    if len(set(corners)) == 4:
-        elements.append(PolygonElement(corners, "para"))
-    bar = "̄"
-    elements.extend(
-        [
-            MarkElement(scene.origin, "Origin"),
-            MarkElement(scene.sample, "(x̂|ŷ)"),
-            MarkElement(result.s, "S"),
-            MarkElement(result.t, "T"),
-            MarkElement(result.s_bar, "S" + bar),
-            MarkElement(result.t_bar, "T" + bar),
-            MarkElement(result.neg_s_bar, "-S" + bar),
-            MarkElement(result.neg_t_bar, "-T" + bar),
-            MarkElement(result.nu_point, "ν"),
-        ]
-    )
-    return elements
 
 
 def _figure_one() -> Tuple[str, List[Element], Viewport]:

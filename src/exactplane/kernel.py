@@ -89,9 +89,6 @@ class Direction:
         factor = self.dx if self.dx != 0 else self.dy
         return Direction(self.dx / factor, self.dy / factor)
 
-    def cross(self, other: "Direction") -> Fraction:
-        return self.dx * other.dy - self.dy * other.dx
-
     def __repr__(self) -> str:
         return f"Direction({exact_str(self.dx)}, {exact_str(self.dy)})"
 

@@ -18,16 +18,20 @@ produces the analogous invariant ``mu``.
 
 The construction itself is :func:`.parallelogram_axis.nu_general` with the
 x-axis (for ``nu``) or the y-axis (for ``mu``) as the axis, the origin as the
-center and epsilon as the offset; ``build_witness`` and ``mu_witness`` only
-add the coordinate-axis preconditions and read the intercept off the axis
-point.  The closed forms live in separate functions so tests can play them
-against the construction.  epsilon is normalized to its absolute value on
-scene construction: a negative spread merely swaps S and T.
+center and epsilon as the offset.  ``build_witness`` and ``mu_witness`` add
+the coordinate-axis preconditions and return its record,
+:class:`.parallelogram_axis.AxisParallelogram`, whose ``nu`` is then the
+intercept itself.  Where the corners collapse onto the origin and
+``nu_general`` has no connecting line, they fill in a line through the
+origin, so their records always carry one.  The closed forms live in
+separate functions so tests can play them against the construction.
+epsilon is normalized to its absolute value on scene construction: a
+negative spread merely swaps S and T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Tuple
 
@@ -51,7 +55,7 @@ from .kernel import (
     swap_line,
     swap_point,
 )
-from .parallelogram_axis import _nu_general_core
+from .parallelogram_axis import AxisParallelogram, _nu_general_core
 
 
 @dataclass(frozen=True)
@@ -71,20 +75,6 @@ class StripScene:
             raise PreconditionError("sample point does not lie on the source line")
 
 
-@dataclass(frozen=True)
-class ParallelogramWitness:
-    """The full construction record; ``nu`` is the invariant intercept."""
-
-    s: Point
-    t: Point
-    s_bar: Point
-    t_bar: Point
-    neg_s_bar: Point
-    neg_t_bar: Point
-    nu: Fraction
-    connecting_line: Line
-
-
 def _require_off_x_axis(scene: StripScene) -> None:
     if scene.sample.y == 0:
         raise PreconditionError("sample point lies on the x-axis")
@@ -98,27 +88,24 @@ def _require_sloped(scene: StripScene) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def _on_axis(
-    scene: StripScene,
-    axis: Line,
-    value_of: Callable[[Point], Fraction],
-    collapsed_line: Callable[[StripScene], Line],
-) -> ParallelogramWitness:
-    """``nu_general`` on a coordinate axis through the origin.  ``value_of``
-    reads the intercept off the axis point; ``collapsed_line`` gives the line
-    to draw when the corners collapse, where ``nu_general`` has none.
+    scene: StripScene, axis: Line, collapsed_line: Callable[[StripScene], Line]
+) -> AxisParallelogram:
+    """``nu_general`` on a coordinate axis through the origin, with the
+    spread as the offset.  ``collapsed_line`` gives the line to draw when the
+    corners collapse, where ``nu_general`` has none.
 
     The scene and the caller's guard (sample off ``axis``) already meet every
     ``AxisStripScene`` precondition, so the construction runs unvalidated."""
-    r = _nu_general_core(scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
-    if r["connecting_line"] is None:
-        r["connecting_line"] = collapsed_line(scene)
-    return ParallelogramWitness(nu=value_of(r.pop("nu_point")), **r)
+    r = _nu_general_core(scene, scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
+    if r.connecting_line is None:
+        return replace(r, connecting_line=collapsed_line(scene))
+    return r
 
 
-def build_witness(scene: StripScene) -> ParallelogramWitness:
+def build_witness(scene: StripScene) -> AxisParallelogram:
     """The nu construction record: horizontal spread, x-axis intercept."""
     _require_off_x_axis(scene)
-    return _on_axis(scene, X_AXIS, lambda q: q.x, _collapsed_line)
+    return _on_axis(scene, X_AXIS, _collapsed_line)
 
 
 def _collapsed_line(scene: StripScene) -> Line:
@@ -229,7 +216,7 @@ def mu_closed_form(scene: StripScene) -> Fraction:
     return nu_closed_form(swap_scene(scene))
 
 
-def mu_witness(scene: StripScene) -> ParallelogramWitness:
+def mu_witness(scene: StripScene) -> AxisParallelogram:
     """The mu construction record: ``nu_general`` on the y-axis.
 
     ``nu`` holds the mu value; corners are the projections of the vertically
@@ -237,7 +224,4 @@ def mu_witness(scene: StripScene) -> ParallelogramWitness:
     """
     if scene.sample.x == 0:
         raise PreconditionError("sample point lies on the y-axis")
-    return _on_axis(
-        scene, Y_AXIS, lambda q: q.y,
-        lambda s: swap_line(_collapsed_line(swap_scene(s))),
-    )
+    return _on_axis(scene, Y_AXIS, lambda s: swap_line(_collapsed_line(swap_scene(s))))

@@ -11,6 +11,10 @@ reflected s_bar meets the axis in a point that does not depend on the
 sample: ``O + lam * offset * d`` for center O, axis direction d and
 ``lam = p(O) / g(O)``, the ratio of the lines' equations at the center.
 
+``nu``, ``mu`` and this construction return one record,
+:class:`AxisParallelogram`, whose ``nu`` is ``lam * offset``: on the x- or
+y-axis through the origin, that is the intercept itself.
+
 Offsets are rational multiples of the canonical direction vector (first
 nonzero component 1), not Euclidean lengths; a Euclidean unit along a slanted
 axis is irrational in general.  For a fixed scene the two scales differ by
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import (
     GeomError,
@@ -78,24 +82,21 @@ class AxisStripScene:
             # degenerate to a point at the center
             raise PreconditionError("sample point lies on the axis")
 
-    def shifted_sources(self):
-        return _shifted_sources(self.axis, self.offset, self.sample)
-
-
-def _shifted_sources(axis: Line, offset: Fraction, sample: Point) -> Tuple[Point, Point]:
-    d = axis.direction()
-    return translate(sample, d, -offset), translate(sample, d, offset)
-
 
 @dataclass(frozen=True)
 class AxisParallelogram:
+    """The construction record; ``nu_point = center + nu * d`` for the
+    canonical axis direction d."""
+
     s_bar: Point
     t_bar: Point
     neg_s_bar: Point
     neg_t_bar: Point
     nu_point: Point
-    # context carried for verification and rendering
-    scene: "AxisStripScene"
+    nu: Fraction
+    # context carried for verification and rendering; scene is the one the
+    # record was built from, a StripScene for nu and mu
+    scene: object
     s: Point
     t: Point
     connecting_line: Optional[Line]
@@ -103,34 +104,38 @@ class AxisParallelogram:
 
 def nu_general(scene: AxisStripScene) -> AxisParallelogram:
     """Run the construction and return all four corners plus the axis point."""
-    return AxisParallelogram(
-        scene=scene,
-        **_nu_general_core(scene.p, scene.axis, scene.origin, scene.offset, scene.sample),
-    )
+    return _nu_general_core(scene, scene.p, scene.axis, scene.origin, scene.offset, scene.sample)
 
 
 def _nu_general_core(
-    p: Line, axis: Line, origin: Point, offset: Fraction, sample: Point
-) -> Dict[str, object]:
-    """The fields of the ``nu_general`` record other than ``scene``, for
-    inputs that already meet every ``AxisStripScene`` precondition."""
+    scene: object, p: Line, axis: Line, origin: Point, offset: Fraction, sample: Point
+) -> AxisParallelogram:
+    """The ``nu_general`` record of ``scene``, for inputs that already meet
+    every ``AxisStripScene`` precondition."""
     # neither source is the center: both lie on the parallel to the axis
     # through the sample, which the scene keeps off the axis
-    s, t = _shifted_sources(axis, offset, sample)
+    d = axis.direction()
+    s, t = translate(sample, d, -offset), translate(sample, d, offset)
     s_bar = project_through(origin, s, p)
     t_bar = project_through(origin, t, p)
     neg_s_bar = reflect_through(s_bar, origin)
     neg_t_bar = reflect_through(t_bar, origin)
-    corners = dict(s_bar=s_bar, t_bar=t_bar, neg_s_bar=neg_s_bar, neg_t_bar=neg_t_bar, s=s, t=t)
     if t_bar == neg_s_bar:
         # every corner collapsed onto the center (p runs through it)
-        return dict(corners, nu_point=origin, connecting_line=None)
-    connecting = line_from_points(t_bar, neg_s_bar)
-    if is_parallel(connecting, axis):
-        raise InconsistentError(
-            "connecting line is parallel to the axis, which valid input cannot produce"
-        )
-    return dict(corners, nu_point=intersect(connecting, axis), connecting_line=connecting)
+        connecting, nu_point = None, origin
+    else:
+        connecting = line_from_points(t_bar, neg_s_bar)
+        if is_parallel(connecting, axis):
+            raise InconsistentError(
+                "connecting line is parallel to the axis, which valid input cannot produce"
+            )
+        nu_point = intersect(connecting, axis)
+    return AxisParallelogram(
+        s_bar=s_bar, t_bar=t_bar, neg_s_bar=neg_s_bar, neg_t_bar=neg_t_bar, nu_point=nu_point,
+        # the first nonzero component of d is 1
+        nu=nu_point.x - origin.x if d.dx != 0 else nu_point.y - origin.y,
+        scene=scene, s=s, t=t, connecting_line=connecting,
+    )
 
 
 def nu_general_invariance(

@@ -301,17 +301,22 @@ class TestArgvErrors:
         assert capsys.readouterr().out == separate
 
 
+# a short run of each kind that writes stdout, and its exit code
+STDOUT_RUNS = [
+    (["phor", *PIC1], 0),
+    (["phor", *PIC1, "--json"], 0),
+    (["figure", "pic1"], 0),
+    (["check", "--trials", "1", "--only", "kernel-intersection"], 0),
+    (["phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=(1", "--json"], 2),
+]
+STDOUT_RUN_IDS = ["phor", "phor-json", "figure", "check", "error-document"]
+
+
 class TestClosedStdout:
     """A reader that closes stdout early ends the output quietly: no
     traceback, and the run's own exit code."""
 
-    @pytest.mark.parametrize("argv, code", [
-        (["phor", *PIC1], 0),
-        (["phor", *PIC1, "--json"], 0),
-        (["figure", "pic1"], 0),
-        (["check", "--trials", "1", "--only", "kernel-intersection"], 0),
-        (["phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=(1", "--json"], 2),
-    ], ids=["phor", "phor-json", "figure", "check", "error-document"])
+    @pytest.mark.parametrize("argv, code", STDOUT_RUNS, ids=STDOUT_RUN_IDS)
     def test_closed_stdout_keeps_the_exit_code(self, argv, code):
         # a pipe whose read end is closed fails every write, unlike a
         # reader that exits at some point while the child writes
@@ -322,6 +327,20 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (r.returncode, r.stderr) == (code, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullStdout:
+    """Any other failed stdout write is a parse error on stderr, exit 2,
+    also under --json, where the error document cannot be written."""
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in STDOUT_RUNS], ids=STDOUT_RUN_IDS)
+    def test_full_stdout_exits_2(self, argv):
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(BASE + argv, stdout=full, stderr=subprocess.PIPE, timeout=120)
+        assert r.returncode == 2
+        assert r.stderr.startswith(b"error[E_PARSE]: cannot write stdout: ")
+        assert b"Traceback" not in r.stderr
 
 
 class TestHugeResults:

@@ -5,7 +5,9 @@ Reads each module's import statements (without importing it) and fails if a
 geometry module names ``textio``, ``figures``, ``checks`` or ``cli``, if
 ``textio`` (whose flag rule ``cli`` and ``checks`` share) names ``figures``,
 ``checks`` or ``cli``, or if ``figures`` or ``checks`` names the other or
-``cli``.
+``cli``.  Among the geometry modules, the general parallelogram construction
+(``parallelogram_axis``) stays below its coordinate-axis case
+(``parallelogram``).
 """
 
 import ast
@@ -61,3 +63,8 @@ def test_geometry_module_imports_no_presentation_layer(module):
 def test_presentation_module_imports_no_layer_above_it(module):
     offending = offending_imports(module, PRESENTATION_BELOW[module])
     assert offending == [], f"{module} imports {offending}"
+
+
+def test_general_parallelogram_imports_not_its_coordinate_axis_case():
+    offending = offending_imports("parallelogram_axis", {"parallelogram"})
+    assert offending == [], f"parallelogram_axis imports {offending}"

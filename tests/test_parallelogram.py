@@ -1,13 +1,17 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from exactplane import (
     ORIGIN,
+    X_AXIS,
+    Y_AXIS,
+    AxisParallelogram,
+    AxisStripScene,
     CoincidentPointsError,
     Line,
     ParallelProjectionError,
-    ParallelogramWitness,
     Point,
     PreconditionError,
     StripScene,
@@ -20,6 +24,7 @@ from exactplane import (
     mu_witness,
     nu,
     nu_closed_form,
+    nu_general,
     s_bar_t_bar_closed_form,
     swap_line,
     swap_scene,
@@ -187,3 +192,33 @@ class TestSwappedVariant:
             g=Line(1, -2, 4), p=Line(1, -2, 2), epsilon=4, sample=Point(6, 1)
         )
         assert mu(other) == 2
+
+
+class TestCoordinateAxisCase:
+    """nu and mu build the nu_general record on the x- and y-axis."""
+
+    SCENES = {
+        # the horizontal pair is parallel to the x-axis, the vertical one to
+        # the y-axis; p runs through the origin in the collapsed scene
+        "sloped-pair": (Line(-2, 1, 4), Line(-2, 1, 2), Point(1, 6)),
+        "vertical-pair": (Line(1, 0, 2), Line(1, 0, 1), Point(2, 5)),
+        "horizontal-pair": (Line(0, 1, 4), Line(0, 1, -2), Point(7, 4)),
+        "collapsed": (Line(-2, 1, 4), Line(-2, 1, 0), Point(1, 6)),
+    }
+
+    @pytest.mark.parametrize("name", list(SCENES))
+    @pytest.mark.parametrize(
+        "build, axis", [(build_witness, X_AXIS), (mu_witness, Y_AXIS)], ids=["nu", "mu"]
+    )
+    def test_record_is_nu_general_on_the_axis(self, build, axis, name):
+        g, p, sample = self.SCENES[name]
+        scene = StripScene(g=g, p=p, epsilon=3, sample=sample)
+        record = build(scene)
+        general = nu_general(AxisStripScene(g, p, axis, ORIGIN, 3, sample))
+        # nu_general has no connecting line when the corners collapse
+        excepted = {"scene", "connecting_line"} if name == "collapsed" else {"scene"}
+        for f in fields(AxisParallelogram):
+            if f.name not in excepted:
+                assert getattr(record, f.name) == getattr(general, f.name), f.name
+        assert record.scene is scene
+        assert record.connecting_line is not None

@@ -17,9 +17,14 @@ from exactplane import (  # noqa: E402
     AxisStripScene,
     Line,
     Point,
+    StripScene,
     TransversalScene,
+    build_witness,
+    connecting_line,
+    nu_closed_form,
     nu_general,
     rho_pair,
+    s_bar_t_bar_closed_form,
 )
 
 
@@ -47,19 +52,24 @@ def _dot(u, v):
 a, b, qx, qy, c_p, ox, oy, dx, dy, k = sympy.symbols("a b qx qy c_p ox oy dx dy k")
 
 
-def _axis_parameter(d):
-    """nu_general, symbolically: tau such that the axis point is O + tau*d."""
-    o = (ox, oy)
+def _corners(d, line=(a, b), q=(qx, qy), cp=c_p, o=(ox, oy)):
+    """s_bar, t_bar and -s_bar of nu_general, symbolically, for the pair
+    line[0]*x + line[1]*y = const through q (g) and = cp (p), center o."""
 
     def project(src):
         # where the ray from O through src meets p
         ray = (src[0] - o[0], src[1] - o[1])
-        mu = (c_p - _dot((a, b), o)) / _dot((a, b), ray)
+        mu = (cp - _dot(line, o)) / _dot(line, ray)
         return tuple(sympy.cancel(o[i] + mu * ray[i]) for i in range(2))
 
-    s_bar = project((qx - k * d[0], qy - k * d[1]))
-    t_bar = project((qx + k * d[0], qy + k * d[1]))
-    neg_s_bar = (2 * o[0] - s_bar[0], 2 * o[1] - s_bar[1])
+    s_bar = project((q[0] - k * d[0], q[1] - k * d[1]))
+    t_bar = project((q[0] + k * d[0], q[1] + k * d[1]))
+    return s_bar, t_bar, (2 * o[0] - s_bar[0], 2 * o[1] - s_bar[1])
+
+
+def _axis_parameter(d, o=(ox, oy), **place):
+    """nu_general, symbolically: tau such that the axis point is O + tau*d."""
+    _, t_bar, neg_s_bar = _corners(d, o=o, **place)
     link = (neg_s_bar[0] - t_bar[0], neg_s_bar[1] - t_bar[1])
     # O + tau*d lies on the line through t_bar with direction link
     offset_t = (t_bar[0] - o[0], t_bar[1] - o[1])
@@ -96,14 +106,97 @@ class TestAxisPoint:
         }
         tau = _exact(_axis_parameter((dx, dy)), values)
         assert tau == _exact(LAM, values) * 3
-        got = nu_general(AxisStripScene(g, p, axis, origin, 3, sample)).nu_point
-        assert got == Point(origin.x + tau * d.dx, origin.y + tau * d.dy)
+        record = nu_general(AxisStripScene(g, p, axis, origin, 3, sample))
+        assert record.nu_point == Point(origin.x + tau * d.dx, origin.y + tau * d.dy)
+        assert record.nu == tau
 
     def test_standard_position_is_the_paper_formula(self):
         # x-axis through the origin, g: y = m*x + b_g, p: y = m*x + b_p
         m, b_g, b_p = sympy.symbols("m b_g b_p")
         lam = LAM.subs({a: -m, b: 1, qx: 0, qy: b_g, c_p: b_p, ox: 0, oy: 0})
         assert sympy.cancel(lam - b_p / b_g) == 0
+
+
+# ------------------------------------------ the x-axis closed forms of nu
+
+# nu is nu_general on the x-axis through the origin with offset k = epsilon.
+# A sloped pair is y = m_g*x + b_g (g, through the sample (qx, m_g*qx + b_g))
+# and y = m_g*x + b_p (p); a vertical pair is x = qx (g) and x = c_p (p).
+m_g, b_g, b_p = sympy.symbols("m_g b_g b_p")
+SLOPED = dict(line=(-m_g, 1), q=(qx, m_g * qx + b_g), cp=b_p, o=(0, 0))
+VERTICAL = dict(line=(1, 0), q=(qx, qy), cp=c_p, o=(0, 0))
+
+
+def _closed_corners():
+    """s_bar and t_bar as s_bar_t_bar_closed_form writes them."""
+    y = m_g * qx + b_g
+    f_s, f_t = b_p / (b_g + m_g * k), b_p / (b_g - m_g * k)
+    return (f_s * (qx - k), f_s * y), (f_t * (qx + k), f_t * y)
+
+
+def _closed_connecting_line():
+    """(A, B, C) of A*x + B*y = C as connecting_line writes it."""
+    y = m_g * qx + b_g
+    return y * b_g, -(qx * b_g + m_g * k ** 2), y * b_p * k
+
+
+def _strip(values, vertical=False):
+    """The library's StripScene for given values of the symbols."""
+    if vertical:
+        sample = Point(values[qx], values[qy])
+        return StripScene(Line(1, 0, values[qx]), Line(1, 0, values[c_p]), values[k], sample)
+    sample = Point(values[qx], values[m_g] * values[qx] + values[b_g])
+    g, p = Line(-values[m_g], 1, values[b_g]), Line(-values[m_g], 1, values[b_p])
+    return StripScene(g, p, values[k], sample)
+
+
+SLOPED_VALUES = [
+    {m_g: 2, b_g: 4, b_p: 2, qx: 0, k: 4},
+    {m_g: Fraction(-1, 3), b_g: 5, b_p: Fraction(-7, 2), qx: Fraction(3, 2), k: Fraction(2, 5)},
+]
+VERTICAL_VALUES = [
+    {qx: 2, qy: 5, c_p: 1, k: 3},
+    {qx: Fraction(-5, 3), qy: Fraction(1, 2), c_p: Fraction(7, 4), k: Fraction(2, 3)},
+]
+
+
+class TestStripClosedForms:
+    """The closed forms parallelogram keeps as oracles are the construction."""
+
+    def test_corners_identity(self):
+        for got, want in zip(_corners((1, 0), **SLOPED), _closed_corners()):
+            assert [sympy.cancel(got[i] - want[i]) for i in range(2)] == [0, 0]
+
+    def test_connecting_line_identity(self):
+        # it carries t_bar and -s_bar; A = sample.y * b_g is nonzero, since
+        # the sample is off the x-axis and g misses the origin
+        A, B, C = _closed_connecting_line()
+        _, t_bar, neg_s_bar = _corners((1, 0), **SLOPED)
+        for corner in (t_bar, neg_s_bar):
+            assert sympy.cancel(A * corner[0] + B * corner[1] - C) == 0
+
+    def test_vertical_nu_identity(self):
+        assert sympy.cancel(_axis_parameter((1, 0), **VERTICAL) - c_p * k / qx) == 0
+
+    @pytest.mark.parametrize("values", SLOPED_VALUES, ids=["worked", "mixed"])
+    def test_the_library_computes_the_same_sloped_forms(self, values):
+        scene = _strip(values)
+        record = build_witness(scene)
+        construction = _corners((1, 0), **SLOPED)
+        assert (record.s_bar, record.t_bar) == tuple(
+            Point(_exact(x, values), _exact(y, values)) for x, y in construction[:2]
+        )
+        assert s_bar_t_bar_closed_form(scene) == tuple(
+            Point(_exact(x, values), _exact(y, values)) for x, y in _closed_corners()
+        )
+        line = Line(*(_exact(c, values) for c in _closed_connecting_line()))
+        assert connecting_line(scene) == record.connecting_line == line
+
+    @pytest.mark.parametrize("values", VERTICAL_VALUES, ids=["worked", "mixed"])
+    def test_the_library_computes_the_same_vertical_nu(self, values):
+        scene = _strip(values, vertical=True)
+        assert build_witness(scene).nu == _exact(_axis_parameter((1, 0), **VERTICAL), values)
+        assert nu_closed_form(scene) == _exact(c_p * k / qx, values)
 
 
 # ------------------------------------------------ the ray-parameter identity
