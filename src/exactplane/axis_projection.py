@@ -1,31 +1,29 @@
 """The transversal-point construction relative to an arbitrary axis and center.
 
-This generalizes :mod:`.double_projection`: instead of the x-axis and the
-coordinate origin, any line ``axis`` and any point ``origin`` on it act as the
-reference pair.  Writing S, T for the crossings of the transversal with the
-parallel pair, s_axis/t_axis for the crossings of the pair with the axis, and
-z_s/z_t for the rays joining the center to S and T, there is a unique point P
-on the transversal such that, on the parallel to the axis through P, the
-crossing with z_t sits at the same (squared) distance from P as s_axis does
-from the center, and likewise with z_s and t_axis swapped in.
+Any line ``axis`` and any point ``origin`` on it, the center, act as the
+reference pair; :mod:`.double_projection` is this construction on the x- and
+y-axis centered at the coordinate origin.  Writing S, T for the crossings of
+the transversal with the parallel pair, s_axis/t_axis for the crossings of
+the pair with the axis, and z_s/z_t for the rays joining the center to S and
+T, there is a unique point P on the transversal such that, on the parallel
+to the axis through P, the crossing with z_t sits at the same (squared)
+distance from P as s_axis does from the center, and likewise with z_s and
+t_axis swapped in.
 
-Two degenerate dispatches exist: when S itself lies on the axis the point is
-S (``t_p`` collapses onto the center), and symmetrically for T.  In the main
-case the point is computed by mapping the scene into the standard frame
-(center at the coordinate origin, axis onto the x-axis, the parallel pair
-vertical), running the horizontal-case construction there, and mapping back.
-The affine map preserves every incidence, parallelism, same-sidedness and
-parallel-segment length equality involved, which is exactly what the result
-contract asserts.
+One elimination, :func:`_eliminate`, computes P = S + rho*w along the
+transversal direction w: P - s_axis is parallel to T - O and P - t_axis to
+S - O for the center O, and each condition alone fixes rho.  Two degenerate
+dispatches exist: when S itself lies on the axis the point is S (``t_p``
+collapses onto the center), and symmetrically for T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from fractions import Fraction
+from typing import Dict, Optional, Tuple
 
-from .double_projection import TransversalScene, p_hor
 from .errors import (
     InconsistentError,
     OriginOffAxisError,
@@ -39,12 +37,12 @@ from .kernel import (
     Point,
     contains,
     dist_sq,
-    frame_to_standard,
     intersect,
     is_parallel,
     line_from_points,
     parallel_through,
     side_of,
+    translate,
 )
 
 
@@ -100,55 +98,68 @@ class AxisProjectionResult:
     z_t: Line
 
 
-def construct_p(scene: AxisScene, transversal: Optional[Direction] = None) -> AxisProjectionResult:
-    """Build the distinguished point and all witness geometry.
+def _ray_denominator(w: Direction, px: Fraction, py: Fraction) -> Fraction:
+    # w x (p - O) = 0 iff p sits on the line through the center with
+    # direction w, i.e. iff the transversal passes through the center
+    value = w.dx * py - w.dy * px
+    if value == 0:
+        raise OriginOnLineError("transversal passes through the origin")
+    return value
 
-    ``transversal`` is the direction sent to (0,1) by the reduction frame.
-    It defaults to the direction of the parallel pair, which guarantees the
-    mapped pair is vertical; any direction not parallel to the axis yields
-    the same point (the construction is incidence-defined), a fact the check
-    suite exercises.
+
+def _eliminate(
+    g_s: Line, g_t: Line, l: Line, axis: Line, center: Point
+) -> Tuple[Point, Point, Direction, Direction, Fraction, Fraction, Fraction, Fraction]:
+    """S, T, the directions w of ``l`` and d of ``axis``, the axis
+    coordinates sigma_s, sigma_t of the pair's crossings with the axis
+    (s_axis = O + sigma_s*d), and the two eliminations rho_1, rho_2 of the
+    ray parameter of P = S + rho*w, for a pair that is not parallel to
+    ``axis`` and a transversal that misses the center O.
+
+    With u x v = u.x*v.y - u.y*v.x, P - s_axis parallel to T - O gives
+    rho_1 = -((S - s_axis) x (T - O)) / (w x (T - O)), and P - t_axis
+    parallel to S - O gives rho_2 = -((S - t_axis) x (S - O)) / (w x (S - O)).
+    Both are returned unchecked, so callers can assert they agree.
+    """
+    s, t = intersect(l, g_s), intersect(l, g_t)
+    w, d = l.direction(), axis.direction()
+    # sigma = -g(O) / (a*d.dx + b*d.dy) puts O + sigma*d on g; canonical
+    # parallel lines share (a, b)
+    a, b = g_s.a, g_s.b
+    along, at_center = a * d.dx + b * d.dy, a * center.x + b * center.y
+    sigma_s, sigma_t = (g_s.c - at_center) / along, (g_t.c - at_center) / along
+    sx, sy = s.x - center.x, s.y - center.y
+    tx, ty = t.x - center.x, t.y - center.y
+    rho_1 = (sigma_s * (d.dx * ty - d.dy * tx) - (sx * ty - sy * tx)) / _ray_denominator(w, tx, ty)
+    rho_2 = sigma_t * (d.dx * sy - d.dy * sx) / _ray_denominator(w, sx, sy)
+    return s, t, w, d, sigma_s, sigma_t, rho_1, rho_2
+
+
+def construct_p(scene: AxisScene) -> AxisProjectionResult:
+    """Build the distinguished point and all witness geometry.
 
     Raises InconsistentError if any contract check fails after construction;
     that signals a bug, not bad input.
     """
-    s = intersect(scene.l, scene.g_s)
-    t = intersect(scene.l, scene.g_t)
-    s_axis = intersect(scene.g_s, scene.axis)
-    t_axis = intersect(scene.g_t, scene.axis)
-    z_s = line_from_points(scene.origin, s)
-    z_t = line_from_points(scene.origin, t)
-
+    origin = scene.origin
+    s, t, w, d, sigma_s, sigma_t, rho_1, _ = _eliminate(
+        scene.g_s, scene.g_t, scene.l, scene.axis, origin
+    )
+    s_axis, t_axis = translate(origin, d, sigma_s), translate(origin, d, sigma_t)
+    z_s = line_from_points(origin, s)
+    z_t = line_from_points(origin, t)
     if s_axis == s:
-        result = AxisProjectionResult(
-            p=s, axis_p=scene.axis, s_p=None, t_p=scene.origin,
-            case_tag=AxisCase.S_COINCIDES, s_axis=s_axis, t_axis=t_axis,
-            scene=scene, s=s, t=t, z_s=z_s, z_t=z_t,
-        )
+        p, axis_p, s_p, t_p, case = s, scene.axis, None, origin, AxisCase.S_COINCIDES
     elif t_axis == t:
-        result = AxisProjectionResult(
-            p=t, axis_p=scene.axis, s_p=scene.origin, t_p=None,
-            case_tag=AxisCase.T_COINCIDES, s_axis=s_axis, t_axis=t_axis,
-            scene=scene, s=s, t=t, z_s=z_s, z_t=z_t,
-        )
+        p, axis_p, s_p, t_p, case = t, scene.axis, origin, None, AxisCase.T_COINCIDES
     else:
-        frame = frame_to_standard(
-            scene.origin, scene.axis,
-            transversal if transversal is not None else scene.g_s.direction(),
-        )
-        image = TransversalScene(
-            g_s=frame.apply_line(scene.g_s),
-            g_t=frame.apply_line(scene.g_t),
-            l=frame.apply_line(scene.l),
-        )
-        p = frame.inverse().apply(p_hor(image).point)
+        p = translate(s, w, rho_1)
         axis_p = parallel_through(scene.axis, p)
-        result = AxisProjectionResult(
-            p=p, axis_p=axis_p,
-            s_p=intersect(z_s, axis_p), t_p=intersect(z_t, axis_p),
-            case_tag=AxisCase.MAIN, s_axis=s_axis, t_axis=t_axis,
-            scene=scene, s=s, t=t, z_s=z_s, z_t=z_t,
-        )
+        s_p, t_p, case = intersect(z_s, axis_p), intersect(z_t, axis_p), AxisCase.MAIN
+    result = AxisProjectionResult(
+        p=p, axis_p=axis_p, s_p=s_p, t_p=t_p, case_tag=case, s_axis=s_axis, t_axis=t_axis,
+        scene=scene, s=s, t=t, z_s=z_s, z_t=z_t,
+    )
 
     checks = verify_p2(result)
     bad = [name for name, ok in checks.items() if not ok]

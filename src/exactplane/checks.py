@@ -52,6 +52,7 @@ from .kernel import (
     Point,
     contains,
     dist_sq,
+    frame_to_standard,
     intersect,
     is_parallel,
     line_from_points,
@@ -308,8 +309,6 @@ def _check_kernel_intersection(rng: random.Random, k: int) -> Optional[str]:
 
 
 def _check_frame_round_trip(rng: random.Random, k: int) -> Optional[str]:
-    from .kernel import frame_to_standard
-
     axis = _oriented_line(rng, "any")
     origin = _point_on(axis, rng)
     d = _transversal_direction(rng, axis)
@@ -531,25 +530,35 @@ def _check_axis_reduction(rng: random.Random, k: int) -> Optional[str]:
         g_s=scene.g_s, g_t=scene.g_t, l=scene.l, axis=shift.axis, origin=ORIGIN
     )
     got = ap.construct_p(full).p
-    want = shift.run(scene).point
+    # p_hor and p_ver are construct_p's own elimination on these axes, so
+    # the closed form is the independent reference
+    want = getattr(dp, shift.closed_form)(scene)
     if got != want:
         return _fail(
-            f"axis construction gives {format_point(got)} but the direct one gives "
+            f"axis construction gives {format_point(got)} but the closed form gives "
             f"{format_point(want)}", "construct-p", full,
         )
     return None
 
 
 def _check_axis_frame_choice(rng: random.Random, k: int) -> Optional[str]:
+    # whichever direction the frame sends to (0, 1), the point follows the
+    # scene to standard position: the construction is incidence-defined
     scene = _axis_scene_main(rng)
     reference = ap.construct_p(scene).p
     for _ in range(2):
         d = _transversal_direction(rng, scene.axis)
-        other = ap.construct_p(scene, transversal=d).p
-        if other != reference:
+        frame = frame_to_standard(scene.origin, scene.axis, d)
+        image = ap.AxisScene(
+            g_s=frame.apply_line(scene.g_s), g_t=frame.apply_line(scene.g_t),
+            l=frame.apply_line(scene.l), axis=frame.apply_line(scene.axis),
+            origin=frame.apply(scene.origin),
+        )
+        want, got = frame.apply(reference), ap.construct_p(image).p
+        if got != want:
             return _fail(
-                f"point depends on the reduction frame: {format_point(reference)} vs "
-                f"{format_point(other)}", "construct-p", scene,
+                f"point does not follow the frame to standard position: want "
+                f"{format_point(want)}, got {format_point(got)}", "construct-p", scene, image,
             )
     return None
 

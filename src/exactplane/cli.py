@@ -20,9 +20,10 @@ is ``label: value`` rows.  With ``--json`` it is one result document:
 form), ``outputs``, ``case`` and ``witnesses``, where a point becomes
 ``{"x", "y"}`` and rationals are ``p/q`` strings, so the documents are exact
 and byte-stable.  A rejected run prints the same envelope with an ``error``
-object and the raw input strings.  Stdout is written only by ``_out``.  A
-reader that closes it early does not change the exit code; any other failed
-write exits 2 with the parse error on stderr.
+object and the raw input strings.  Stdout is written only by ``_out``, and
+both streams only through ``_write``.  A reader that closes stdout early
+does not change the exit code; any other failed stdout write exits 2 with
+the parse error on stderr.  A failed stderr write changes no exit code.
 """
 
 from __future__ import annotations
@@ -57,23 +58,34 @@ from .textio import field_flag, format_scalar, format_value
 
 # ------------------------------------------------------------- output
 
-def _out(text: str) -> None:
-    """Write ``text`` to stdout.  If that fails, stdout is pointed at the
-    null device, so the interpreter's final flush cannot fail either.  A
-    reader that has closed it ends the output quietly, and the run goes on to
-    return its own exit code.  Any other failure, such as a full device, is
-    reported on stderr, also under ``--json``, and exits 2 at once."""
+def _write(stream, text: str) -> Optional[OSError]:
+    """Write ``text`` to ``stream``, ``sys.stdout`` or ``sys.stderr``.  If
+    that fails, the stream is pointed at the null device, so the
+    interpreter's final flush cannot fail either, and the error is returned.
+    A stream the interpreter could not open is ``None`` and takes nothing."""
+    if stream is None:
+        return None
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as err:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        if not isinstance(err, BrokenPipeError):
-            reason = err.strerror or err
-            print(f"error[{ParseError.code}]: cannot write stdout: {reason}", file=sys.stderr)
-            sys.exit(2)
+        return err
+    return None
+
+
+def _out(text: str) -> None:
+    """Write ``text`` to stdout.  A reader that has closed it ends the output
+    quietly, and the run goes on to return its own exit code.  Any other
+    failure, such as a full device, is reported on stderr, also under
+    ``--json``, and exits 2 at once."""
+    err = _write(sys.stdout, text)
+    if err is not None and not isinstance(err, BrokenPipeError):
+        reason = err.strerror or err
+        _write(sys.stderr, f"error[{ParseError.code}]: cannot write stdout: {reason}\n")
+        sys.exit(2)
 
 
 def _json(value):
@@ -375,7 +387,7 @@ def _report_error(args, err: GeomError) -> None:
         }
         _out(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
+        _write(sys.stderr, f"error[{err.code}]: {err}\n")
 
 
 def _value_words(argv: Sequence[str]) -> List[str]:

@@ -10,14 +10,13 @@ for downward shifts by the y-intercepts (the vertical case).
 
 Each point is computed three independent ways:
 
-* ``p_hor``: the quotient formulas for the ray parameter ``rho``, obtained by
-  eliminating the collinearity factors from the defining equations.  Both
-  eliminations must give the same value; the pair is exposed through
-  ``rho_pair`` so that identity can be tested.  ``p_ver`` / ``rho_tilde_pair``
-  are the same elimination run on the coordinate-swapped scene (a vertical
-  shift is a horizontal shift with the axes exchanged), mapped back by
-  :func:`~.kernel.swap_point` with ``rho`` re-expressed along the scene's own
-  transversal direction.
+* ``p_hor`` / ``p_ver``: the quotient formulas for the ray parameter ``rho``,
+  obtained by eliminating the collinearity factors from the defining
+  equations.  They are the one elimination of :mod:`.axis_projection` on the
+  x-axis and on the y-axis, each centered at the origin; a base line's
+  shift is its coordinate along that axis.  Both eliminations must give the
+  same value; the pairs are exposed through ``rho_pair`` / ``rho_tilde_pair``
+  so that identity can be tested.
 * ``p_hor_closed_form`` / ``p_ver_closed_form``: explicit coordinates in the
   intercept/slope parameters, dispatched over every axis-parallel special
   case.
@@ -30,11 +29,12 @@ Agreement of all three is the module's central correctness property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
+from .axis_projection import _eliminate
 from .errors import (
     CaseUnavailableError,
     InconsistentError,
@@ -45,15 +45,14 @@ from .errors import (
 )
 from .kernel import (
     ORIGIN,
-    Direction,
+    X_AXIS,
+    Y_AXIS,
     Line,
     Point,
     contains,
     exact_str,
     intersect,
     is_parallel,
-    swap_line,
-    swap_point,
     translate,
 )
 from .linsolve import solve_unique
@@ -102,42 +101,54 @@ class ProjectionWitness:
     case_tag: ProjectionCase
 
 
-def _require_horizontal_case(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
-    if scene.g_s.is_horizontal:
-        raise CaseUnavailableError(
-            "horizontal-shift point does not exist when the base lines are horizontal"
-        )
-    return scene.g_s.x_intercept(), scene.g_t.x_intercept()
-
-
-def _require_vertical_case(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
+def _shift_axis(scene: TransversalScene, case: ProjectionCase) -> Line:
+    """The coordinate axis the case shifts along; CaseUnavailableError when
+    the base lines are parallel to it."""
+    if case is ProjectionCase.HORIZONTAL_A:
+        if scene.g_s.is_horizontal:
+            raise CaseUnavailableError(
+                "horizontal-shift point does not exist when the base lines are horizontal"
+            )
+        return X_AXIS
     if scene.g_s.is_vertical:
         raise CaseUnavailableError(
             "vertical-shift point does not exist when the base lines are vertical"
         )
-    return scene.g_s.y_intercept(), scene.g_t.y_intercept()
+    return Y_AXIS
 
 
-def _ray_denominator(w: Direction, p: Point) -> Fraction:
-    # w.dx*p.y - w.dy*p.x = 0 iff p sits on the origin line with direction w,
-    # i.e. iff the transversal passes through the origin.
-    value = w.dx * p.y - w.dy * p.x
-    if value == 0:
-        raise OriginOnLineError("transversal passes through the origin")
-    return value
+def _eliminate_on(scene: TransversalScene, case: ProjectionCase):
+    """:func:`~.axis_projection._eliminate` on the case's axis, centered at
+    the origin."""
+    return _eliminate(scene.g_s, scene.g_t, scene.l, _shift_axis(scene, case), ORIGIN)
 
 
-def _eliminate(
-    scene: TransversalScene,
-) -> Tuple[Fraction, Fraction, Point, Point, Direction, Fraction, Fraction]:
-    """Intercepts, crossings, transversal direction and both eliminations of
-    the horizontal-case parameter, each computed once."""
-    a_s, a_t = _require_horizontal_case(scene)
-    s, t = scene.crossings()
-    w = scene.l.direction()
-    rho_1 = (s.y * t.x - s.x * t.y + a_s * t.y) / _ray_denominator(w, t)
-    rho_2 = (s.y * a_t) / _ray_denominator(w, s)
-    return a_s, a_t, s, t, w, rho_1, rho_2
+def _factor(p: Point, q: Point, shift: Fraction, case: ProjectionCase) -> Fraction:
+    """f with ``p`` moved back by ``shift`` along the case's axis equal to
+    f * ``q``: read off the coordinate across the axis unless ``q`` is on it."""
+    if case is ProjectionCase.HORIZONTAL_A:
+        return p.y / q.y if q.y != 0 else (p.x - shift) / q.x
+    return p.x / q.x if q.x != 0 else (p.y - shift) / q.y
+
+
+def _witness(scene: TransversalScene, case: ProjectionCase) -> ProjectionWitness:
+    s, t, w, _, shift_s, shift_t, rho_1, rho_2 = _eliminate_on(scene, case)
+    if rho_1 != rho_2:
+        raise InconsistentError(
+            f"{case.value} eliminations disagree: {exact_str(rho_1)} vs {exact_str(rho_2)}"
+        )
+    point = translate(s, w, rho_1)
+    return ProjectionWitness(
+        point=point,
+        rho=rho_1,
+        alpha=_factor(point, t, shift_s, case),
+        beta=_factor(point, s, shift_t, case),
+        s=s,
+        t=t,
+        a_or_b_s=shift_s,
+        a_or_b_t=shift_t,
+        case_tag=case,
+    )
 
 
 def rho_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
@@ -146,7 +157,13 @@ def rho_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
     Both components are always equal on valid input; returning the raw pair
     lets callers assert that instead of trusting it.
     """
-    *_, rho_1, rho_2 = _eliminate(scene)
+    *_, rho_1, rho_2 = _eliminate_on(scene, ProjectionCase.HORIZONTAL_A)
+    return rho_1, rho_2
+
+
+def rho_tilde_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
+    """Vertical-case counterpart of :func:`rho_pair`."""
+    *_, rho_1, rho_2 = _eliminate_on(scene, ProjectionCase.VERTICAL_B)
     return rho_1, rho_2
 
 
@@ -156,65 +173,16 @@ def p_hor(scene: TransversalScene) -> ProjectionWitness:
     The witness satisfies: point on ``l``; (point.x - a_s, point.y) equals
     alpha * T (hence lies on Z_T); (point.x - a_t, point.y) equals beta * S.
     """
-    a_s, a_t, s, t, w, rho_1, rho_2 = _eliminate(scene)
-    if rho_1 != rho_2:
-        raise InconsistentError(
-            f"horizontal-case eliminations disagree: {exact_str(rho_1)} vs {exact_str(rho_2)}"
-        )
-    point = translate(s, w, rho_1)
-    alpha = point.y / t.y if t.y != 0 else (point.x - a_s) / t.x
-    beta = point.y / s.y if s.y != 0 else (point.x - a_t) / s.x
-    return ProjectionWitness(
-        point=point,
-        rho=rho_1,
-        alpha=alpha,
-        beta=beta,
-        s=s,
-        t=t,
-        a_or_b_s=a_s,
-        a_or_b_t=a_t,
-        case_tag=ProjectionCase.HORIZONTAL_A,
-    )
-
-
-def _swapped(scene: TransversalScene) -> Tuple[TransversalScene, Fraction]:
-    """The coordinate-swapped scene, and the factor ``f`` that turns a ray
-    parameter along the swapped transversal's direction ``v`` into one along
-    ``w = scene.l.direction()``: swapping ``v`` back gives ``f * w``.
-
-    Both directions are canonical, so that factor is not always 1.
-    """
-    _require_vertical_case(scene)
-    swapped = TransversalScene(
-        g_s=swap_line(scene.g_s), g_t=swap_line(scene.g_t), l=swap_line(scene.l)
-    )
-    w, v = scene.l.direction(), swapped.l.direction()
-    return swapped, (v.dy / w.dx if w.dx != 0 else v.dx / w.dy)
-
-
-def rho_tilde_pair(scene: TransversalScene) -> Tuple[Fraction, Fraction]:
-    """Vertical-case counterpart of :func:`rho_pair`, via the swapped scene."""
-    swapped, factor = _swapped(scene)
-    rho_1, rho_2 = rho_pair(swapped)
-    return rho_1 * factor, rho_2 * factor
+    return _witness(scene, ProjectionCase.HORIZONTAL_A)
 
 
 def p_ver(scene: TransversalScene) -> ProjectionWitness:
     """The vertical-case point: shifts go down by the y-intercepts.
 
-    It is :func:`p_hor` of the swapped scene, swapped back; alpha, beta and
-    the intercepts carry over unchanged.
+    The witness satisfies: point on ``l``; (point.x, point.y - b_s) equals
+    alpha * T; (point.x, point.y - b_t) equals beta * S.
     """
-    swapped, factor = _swapped(scene)
-    w = p_hor(swapped)
-    return replace(
-        w,
-        point=swap_point(w.point),
-        rho=w.rho * factor,
-        s=swap_point(w.s),
-        t=swap_point(w.t),
-        case_tag=ProjectionCase.VERTICAL_B,
-    )
+    return _witness(scene, ProjectionCase.VERTICAL_B)
 
 
 def _nonzero(value: Fraction, what: str) -> Fraction:
@@ -296,13 +264,11 @@ def oracle_point(scene: TransversalScene, case: ProjectionCase) -> Point:
     on t.  Disagreement would falsify the uniqueness claim, so it surfaces
     as an inconsistency rather than an answer.
     """
-    if case is ProjectionCase.HORIZONTAL_A:
-        shift_s, shift_t = _require_horizontal_case(scene)
-    else:
-        shift_s, shift_t = _require_vertical_case(scene)
+    _shift_axis(scene, case)
     s, t_pt = scene.crossings()
     w = scene.l.direction()
     if case is ProjectionCase.HORIZONTAL_A:
+        shift_s, shift_t = scene.g_s.x_intercept(), scene.g_t.x_intercept()
         # point.x - shift_s = alpha*t.x, point.y = alpha*t.y; unknowns (t, alpha)
         first = solve_unique(
             [[w.dx, -t_pt.x], [w.dy, -t_pt.y]], [shift_s - s.x, -s.y]
@@ -311,6 +277,7 @@ def oracle_point(scene: TransversalScene, case: ProjectionCase) -> Point:
             [[w.dx, -s.x], [w.dy, -s.y]], [shift_t - s.x, -s.y]
         )
     else:
+        shift_s, shift_t = scene.g_s.y_intercept(), scene.g_t.y_intercept()
         # point.x = alpha*t.x, point.y - shift_s = alpha*t.y
         first = solve_unique(
             [[w.dx, -t_pt.x], [w.dy, -t_pt.y]], [-s.x, shift_s - s.y]

@@ -89,13 +89,6 @@ class LineElement:
 
 
 @dataclass(frozen=True)
-class SegmentElement:
-    a: Point
-    b: Point
-    css: str
-
-
-@dataclass(frozen=True)
 class PolygonElement:
     points: Tuple[Point, ...]
     css: str
@@ -107,7 +100,7 @@ class MarkElement:
     label: str
 
 
-Element = Union[LineElement, SegmentElement, PolygonElement, MarkElement]
+Element = Union[LineElement, PolygonElement, MarkElement]
 
 _STYLE = """
     line, polygon { stroke-width: 1.5; }
@@ -187,8 +180,6 @@ def render_svg(title: str, elements: Sequence[Element], vp: Viewport) -> str:
                 out.append(
                     f'  <text x="{_fmt(mx + 5)}" y="{_fmt(my - 5)}">{el.label}</text>'
                 )
-        elif isinstance(el, SegmentElement):
-            _emit_segment(out, vp, el.a, el.b, el.css)
         elif isinstance(el, PolygonElement):
             coords = " ".join(
                 "%s,%s" % tuple(_fmt(v) for v in vp.to_px(p)) for p in el.points

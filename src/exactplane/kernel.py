@@ -275,12 +275,12 @@ class Frame:
         return Direction(m00 * d.dx + m01 * d.dy, m10 * d.dx + m11 * d.dy)
 
     def apply_line(self, l: Line) -> Line:
-        # Row covector (a, b) transforms by the inverse linear part.
-        inv = self.inverse()
-        (n00, n01), (n10, n11) = inv.linear
-        a = l.a * n00 + l.b * n10
-        b = l.a * n01 + l.b * n11
-        c = l.c + a * self.translation.x + b * self.translation.y
+        # Row covector (a, b) transforms by the inverse linear part, here its
+        # adjugate: Line's scaling absorbs 1/det and its sign.
+        (m00, m01), (m10, m11) = self.linear
+        a = l.a * m11 - l.b * m10
+        b = l.b * m00 - l.a * m01
+        c = l.c * self.determinant() + a * self.translation.x + b * self.translation.y
         return Line(a, b, c)
 
     def inverse(self) -> "Frame":
@@ -302,13 +302,8 @@ def frame_to_standard(origin: Point, axis: Line, transversal: Direction) -> Fram
     """
     if not contains(axis, origin):
         raise OriginOffAxisError(f"{origin} does not lie on {axis}")
-    d = axis.direction()
-    det = d.dx * transversal.dy - d.dy * transversal.dx
-    if det == 0:
+    d, t = axis.direction(), transversal
+    if d.dx * t.dy == d.dy * t.dx:
         raise DegenerateTransversalError("transversal is parallel to the axis")
-    # Inverse of the matrix with columns (d, transversal).
-    m00, m01 = transversal.dy / det, -transversal.dx / det
-    m10, m11 = -d.dy / det, d.dx / det
-    tx = -(m00 * origin.x + m01 * origin.y)
-    ty = -(m10 * origin.x + m11 * origin.y)
-    return Frame(((m00, m01), (m10, m11)), Point(tx, ty))
+    # the inverse of the frame sending (1,0) to d, (0,1) to t and 0 to origin
+    return Frame(((d.dx, t.dx), (d.dy, t.dy)), origin).inverse()

@@ -18,6 +18,7 @@ from exactplane import (
     construct_p,
     contains,
     dist_sq,
+    frame_to_standard,
     p_hor,
     p_ver,
     side_of,
@@ -65,9 +66,17 @@ class TestSlantedScene:
         assert r.z_s != r.z_t
 
     def test_frame_choice_does_not_matter(self):
+        # every frame to standard position carries the point along
         reference = construct_p(SLANTED).p
         for d in (Direction(0, 1), Direction(1, 2), Direction(-3, 1)):
-            assert construct_p(SLANTED, transversal=d).p == reference
+            frame = frame_to_standard(SLANTED.origin, SLANTED.axis, d)
+            image = AxisScene(
+                g_s=frame.apply_line(SLANTED.g_s), g_t=frame.apply_line(SLANTED.g_t),
+                l=frame.apply_line(SLANTED.l), axis=X_AXIS, origin=ORIGIN,
+            )
+            assert frame.apply_line(SLANTED.axis) == X_AXIS
+            assert frame.apply(SLANTED.origin) == ORIGIN
+            assert construct_p(image).p == frame.apply(reference)
 
 
 class TestReductionToCoordinateAxes:

@@ -81,9 +81,25 @@ class TestMutationDetection:
         assert report.failures > 0
         assert any("replay: exactplane" in ex for ex in report.examples)
 
+    def test_perturbed_horizontal_closed_form_is_caught_by_the_axis_reduction(
+        self, monkeypatch
+    ):
+        # p_hor and construct_p share one elimination, so the closed form is
+        # the reduction property's only independent reference
+        real = dp.p_hor_closed_form
+
+        def skewed(scene):
+            q = real(scene)
+            return Point(q.x + 1, q.y)
+
+        monkeypatch.setattr(dp, "p_hor_closed_form", skewed)
+        report = run_property("axis-reduction-equivalence", seed=3, trials=24)
+        assert report.failures == 12  # the horizontal half of the trials
+        assert any("replay: exactplane construct-p" in ex for ex in report.examples)
+
     def test_perturbed_vertical_closed_form_is_caught(self, monkeypatch):
-        # p_ver is the swap of p_hor, so this closed form and oracle_point are
-        # the only vertical code independent of the horizontal elimination
+        # p_hor and p_ver are one elimination on two axes, so this closed form
+        # and oracle_point are the only vertical code independent of it
         real = dp.p_ver_closed_form
 
         def skewed(scene):

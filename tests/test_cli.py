@@ -329,7 +329,10 @@ class TestClosedStdout:
         assert (r.returncode, r.stderr) == (code, b"")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@needs_dev_full
 class TestFullStdout:
     """Any other failed stdout write is a parse error on stderr, exit 2,
     also under --json, where the error document cannot be written."""
@@ -341,6 +344,42 @@ class TestFullStdout:
         assert r.returncode == 2
         assert r.stderr.startswith(b"error[E_PARSE]: cannot write stdout: ")
         assert b"Traceback" not in r.stderr
+
+
+PARSE_ERROR_RUN = ["phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=(1"]
+
+
+class TestUnwritableStderr:
+    """A failed stderr write keeps the run's own exit code: 1 stays reserved
+    for a failing check suite."""
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv, code", [
+        (PARSE_ERROR_RUN, 2),
+        (["phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=2x+1"], 3),
+        (["check", "--trials", "0"], 2),
+    ], ids=["parse-error", "precondition-error", "check-usage"])
+    def test_full_stderr_keeps_the_exit_code(self, argv, code):
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(BASE + argv, stdout=subprocess.PIPE, stderr=full, timeout=120)
+        assert r.returncode == code
+        assert b"Traceback" not in r.stdout
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    def test_closed_stderr_keeps_the_exit_code(self, redirect):
+        r = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", *BASE, *PARSE_ERROR_RUN],
+            stdout=subprocess.PIPE, timeout=120,
+        )
+        assert r.returncode == 2
+        assert b"Traceback" not in r.stdout
+
+    @needs_dev_full
+    def test_full_stdout_and_stderr_exit_2(self):
+        # neither the result nor the report of its failed write goes anywhere
+        with open("/dev/full", "wb") as full:
+            r = subprocess.run(BASE + ["phor", *PIC1], stdout=full, stderr=full, timeout=120)
+        assert r.returncode == 2
 
 
 class TestHugeResults:

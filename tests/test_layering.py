@@ -5,9 +5,9 @@ Reads each module's import statements (without importing it) and fails if a
 geometry module names ``textio``, ``figures``, ``checks`` or ``cli``, if
 ``textio`` (whose flag rule ``cli`` and ``checks`` share) names ``figures``,
 ``checks`` or ``cli``, or if ``figures`` or ``checks`` names the other or
-``cli``.  Among the geometry modules, the general parallelogram construction
-(``parallelogram_axis``) stays below its coordinate-axis case
-(``parallelogram``).
+``cli``.  Among the geometry modules, each general construction stays below
+its coordinate-axis case: ``parallelogram_axis`` below ``parallelogram``,
+and ``axis_projection`` below ``double_projection``.
 """
 
 import ast
@@ -68,3 +68,8 @@ def test_presentation_module_imports_no_layer_above_it(module):
 def test_general_parallelogram_imports_not_its_coordinate_axis_case():
     offending = offending_imports("parallelogram_axis", {"parallelogram"})
     assert offending == [], f"parallelogram_axis imports {offending}"
+
+
+def test_general_projection_imports_not_its_coordinate_axis_case():
+    offending = offending_imports("axis_projection", {"double_projection"})
+    assert offending == [], f"axis_projection imports {offending}"

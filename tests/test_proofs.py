@@ -14,13 +14,18 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from exactplane import (  # noqa: E402
+    AxisCase,
+    AxisScene,
     AxisStripScene,
+    Direction,
     Line,
     Point,
     StripScene,
     TransversalScene,
     build_witness,
     connecting_line,
+    construct_p,
+    line_through,
     nu_closed_form,
     nu_general,
     rho_pair,
@@ -207,7 +212,9 @@ m, b_s, b_t, kl, cl = sympy.symbols("m b_s b_t kl cl")
 
 
 def _rho(s, t, a_s, a_t, w):
-    """rho_1 and rho_2 as double_projection._eliminate writes them."""
+    """rho_1 and rho_2 of the one elimination (axis_projection._eliminate)
+    on the x-axis through the origin, where the axis coordinates a_s, a_t
+    are the x-intercepts."""
     rho_1 = (s[1] * t[0] - s[0] * t[1] + a_s * t[1]) / (w[0] * t[1] - w[1] * t[0])
     rho_2 = (s[1] * a_t) / (w[0] * s[1] - w[1] * s[0])
     return rho_1, rho_2
@@ -251,10 +258,9 @@ CASES = {
 
 
 class TestRayParameter:
-    """rho_1 == rho_2 for every orientation of the pair and the transversal.
-
-    rho_tilde_pair is rho_pair on the coordinate-swapped scene, so the
-    vertical pair here also covers the horizontal pair there."""
+    """rho_1 == rho_2 on the x-axis for every orientation of the pair and the
+    transversal.  TestGeneralElimination proves it on any axis, the y-axis
+    of rho_tilde_pair included."""
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_identity(self, name):
@@ -275,3 +281,93 @@ class TestRayParameter:
         g_s, g_t, l = scene(values)
         rho_1, _ = rho_pair(TransversalScene(g_s=g_s, g_t=g_t, l=l))
         assert _exact(derive()[0], values) == rho_1
+
+
+# ---------------------------------- the transversal point on any axis
+
+# S = (sx, sy) is where the transversal (direction w) meets g_s, and
+# T = S + tau*w where it meets g_t; both base lines have the normal (a, b).
+# The center O = (ox, oy) lies on the axis, whose direction is d.
+sx, sy, wx, wy, tau = sympy.symbols("sx sy wx wy tau")
+O, D, W = (ox, oy), (dx, dy), (wx, wy)
+S = (sx, sy)
+T = (sx + tau * wx, sy + tau * wy)
+
+
+def _minus(u, v):
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _along(p, u, scale):
+    return (p[0] + scale * u[0], p[1] + scale * u[1])
+
+
+def _axis_crossing(q):
+    """O + sigma*d on the base line through q."""
+    return _along(O, D, _dot((a, b), _minus(q, O)) / _dot((a, b), D))
+
+
+S_AXIS, T_AXIS = _axis_crossing(S), _axis_crossing(T)
+# the two eliminations as axis_projection._eliminate writes them
+RHO_1 = -_cross(_minus(S, S_AXIS), _minus(T, O)) / _cross(W, _minus(T, O))
+RHO_2 = -_cross(_minus(S, T_AXIS), _minus(S, O)) / _cross(W, _minus(S, O))
+P = _along(S, W, RHO_1)
+
+
+def _companion(q):
+    """Where the ray from O through q meets the parallel to the axis
+    through P: s_p for q = S, t_p for q = T."""
+    ray = _minus(q, O)
+    return _along(O, ray, _cross(_minus(P, O), D) / _cross(ray, D))
+
+
+def _length_sq(u):
+    return _dot(u, u)
+
+
+class TestGeneralElimination:
+    """The paper's first proposition on any axis and center: the two
+    eliminations agree, and their point meets verify_p2's distance claims."""
+
+    def test_identity(self):
+        assert sympy.cancel(RHO_1 - RHO_2) == 0
+
+    @pytest.mark.parametrize(
+        "companion, crossing", [(S, T_AXIS), (T, S_AXIS)], ids=["distance_t", "distance_s"]
+    )
+    def test_distance(self, companion, crossing):
+        # |P - t_p| = |s_axis - O| and |P - s_p| = |t_axis - O|; P minus its
+        # companion first cancels to sigma*d, which keeps the squares small
+        moved = [sympy.cancel(x) for x in _minus(P, _companion(companion))]
+        assert sympy.cancel(_length_sq(moved) - _length_sq(_minus(crossing, O))) == 0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {a: -1, b: 1, sx: 1, sy: 3, wx: 1, wy: -1, tau: Fraction(3, 2),
+             ox: 3, oy: 0, dx: 3, dy: 1},
+            {a: Fraction(2, 3), b: 1, sx: -2, sy: Fraction(1, 2), wx: 3, wy: Fraction(-1, 4),
+             tau: Fraction(-5, 3), ox: Fraction(1, 3), oy: -2, dx: 1, dy: Fraction(2, 5)},
+            {a: 1, b: 0, sx: 2, sy: 5, wx: 1, wy: 3, tau: -4, ox: 0, oy: 0, dx: 1, dy: 0},
+        ],
+        ids=["slanted", "mixed", "vertical-pair-x-axis"],
+    )
+    def test_the_library_computes_the_same_point(self, values):
+        v = {sym: Fraction(value) for sym, value in values.items()}
+        s = Point(v[sx], v[sy])
+        t = Point(v[sx] + v[tau] * v[wx], v[sy] + v[tau] * v[wy])
+        scene = AxisScene(
+            g_s=Line(v[a], v[b], v[a] * s.x + v[b] * s.y),
+            g_t=Line(v[a], v[b], v[a] * t.x + v[b] * t.y),
+            l=line_through(s, Direction(v[wx], v[wy])),
+            axis=line_through(Point(v[ox], v[oy]), Direction(v[dx], v[dy])),
+            origin=Point(v[ox], v[oy]),
+        )
+        assert _exact(RHO_1, values) == _exact(RHO_2, values)
+        result = construct_p(scene)
+        assert result.case_tag is AxisCase.MAIN
+        for got, want in [
+            (result.p, P), (result.s_axis, S_AXIS), (result.t_axis, T_AXIS),
+            (result.s_p, _companion(S)), (result.t_p, _companion(T)),
+        ]:
+            assert got == Point(_exact(want[0], values), _exact(want[1], values))
