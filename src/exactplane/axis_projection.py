@@ -171,8 +171,9 @@ def construct_p(scene: AxisScene) -> AxisProjectionResult:
 def verify_p2(result: AxisProjectionResult) -> Dict[str, bool]:
     """Evaluate every contract condition of a result as named booleans.
 
-    Pure re-checking: nothing here feeds back into the construction, so a
-    all-true report genuinely certifies the geometry.
+    Pure re-checking: nothing here feeds back into the construction, so an
+    all-true report genuinely certifies the geometry.  Both coincidence
+    cases run one certificate, over the crossing on the axis (S or T).
     """
     scene = result.scene
     checks = {
@@ -195,26 +196,20 @@ def verify_p2(result: AxisProjectionResult) -> Dict[str, bool]:
                 and side_t_axis != 0,
             }
         )
-    elif result.case_tag is AxisCase.S_COINCIDES:
-        checks.update(
-            {
-                "point_is_s": result.p == result.s and result.p == result.s_axis,
-                "own_axis_is_axis": result.axis_p == scene.axis,
-                "s_ray_is_axis": result.z_s == scene.axis,
-                "companion_is_center": result.t_p == scene.origin,
-                "distance_s": dist_sq(result.s_axis, scene.origin)
-                == dist_sq(result.p, result.t_p),
-            }
-        )
     else:
+        name, crossing, on_axis, ray, companion = (
+            ("s", result.s, result.s_axis, result.z_s, result.t_p)
+            if result.case_tag is AxisCase.S_COINCIDES
+            else ("t", result.t, result.t_axis, result.z_t, result.s_p)
+        )
         checks.update(
             {
-                "point_is_t": result.p == result.t and result.p == result.t_axis,
+                f"point_is_{name}": result.p == crossing and result.p == on_axis,
                 "own_axis_is_axis": result.axis_p == scene.axis,
-                "t_ray_is_axis": result.z_t == scene.axis,
-                "companion_is_center": result.s_p == scene.origin,
-                "distance_t": dist_sq(result.t_axis, scene.origin)
-                == dist_sq(result.p, result.s_p),
+                f"{name}_ray_is_axis": ray == scene.axis,
+                "companion_is_center": companion == scene.origin,
+                f"distance_{name}": dist_sq(on_axis, scene.origin)
+                == dist_sq(result.p, companion),
             }
         )
     return checks

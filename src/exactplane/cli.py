@@ -300,10 +300,13 @@ def _cmd_figure(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports an unreadable argv as a ``ParseError``
-    instead of printing its usage and exiting."""
+    instead of printing its usage and exiting, and prints help through ``_out``."""
 
     def error(self, message: str) -> NoReturn:
         raise ParseError(f"{self.prog}: {message}", 0, f"the arguments of '{self.prog} --help'")
+
+    def print_help(self, file=None) -> None:
+        _out(self.format_help())
 
 
 def _trials(text: str) -> int:

@@ -102,24 +102,19 @@ class ProjectionWitness:
 
 
 def _shift_axis(scene: TransversalScene, case: ProjectionCase) -> Line:
-    """The coordinate axis the case shifts along; CaseUnavailableError when
-    the base lines are parallel to it."""
-    if case is ProjectionCase.HORIZONTAL_A:
-        if scene.g_s.is_horizontal:
-            raise CaseUnavailableError(
-                "horizontal-shift point does not exist when the base lines are horizontal"
-            )
-        return X_AXIS
-    if scene.g_s.is_vertical:
+    """The x- or y-axis the case shifts along; CaseUnavailableError when the
+    base lines are parallel to it.  Also the closed forms' and oracle's guard."""
+    horizontal = case is ProjectionCase.HORIZONTAL_A
+    if scene.g_s.is_horizontal if horizontal else scene.g_s.is_vertical:
+        word = "horizontal" if horizontal else "vertical"
         raise CaseUnavailableError(
-            "vertical-shift point does not exist when the base lines are vertical"
+            f"{word}-shift point does not exist when the base lines are {word}"
         )
-    return Y_AXIS
+    return X_AXIS if horizontal else Y_AXIS
 
 
 def _eliminate_on(scene: TransversalScene, case: ProjectionCase):
-    """:func:`~.axis_projection._eliminate` on the case's axis, centered at
-    the origin."""
+    """:func:`~.axis_projection._eliminate` on the case's axis at the origin."""
     return _eliminate(scene.g_s, scene.g_t, scene.l, _shift_axis(scene, case), ORIGIN)
 
 
@@ -198,11 +193,8 @@ def p_hor_closed_form(scene: TransversalScene) -> Point:
     Every branch is a distinct published formula; all agree with
     :func:`p_hor` and :func:`oracle_point`.
     """
+    _shift_axis(scene, ProjectionCase.HORIZONTAL_A)
     g_s, g_t, l = scene.g_s, scene.g_t, scene.l
-    if g_s.is_horizontal:
-        raise CaseUnavailableError(
-            "horizontal-shift point does not exist when the base lines are horizontal"
-        )
     if g_s.is_vertical:
         a_s, a_t = g_s.x_intercept(), g_t.x_intercept()
         if l.is_horizontal:
@@ -228,11 +220,8 @@ def p_hor_closed_form(scene: TransversalScene) -> Point:
 
 def p_ver_closed_form(scene: TransversalScene) -> Point:
     """Explicit coordinates of the vertical-case point."""
+    _shift_axis(scene, ProjectionCase.VERTICAL_B)
     g_s, g_t, l = scene.g_s, scene.g_t, scene.l
-    if g_s.is_vertical:
-        raise CaseUnavailableError(
-            "vertical-shift point does not exist when the base lines are vertical"
-        )
     if g_s.is_horizontal:
         b_s, b_t = g_s.y_intercept(), g_t.y_intercept()
         if l.is_vertical:
@@ -258,33 +247,24 @@ def p_ver_closed_form(scene: TransversalScene) -> Point:
 def oracle_point(scene: TransversalScene, case: ProjectionCase) -> Point:
     """Definitional solve, independent of the elimination formulas.
 
-    The candidate is S + t*w for the transversal direction w.  Each of the
-    two shifted-membership conditions becomes a 2x2 linear system, one in
-    (t, alpha), one in (t, beta); both are solved exactly and must agree
-    on t.  Disagreement would falsify the uniqueness claim, so it surfaces
-    as an inconsistency rather than an answer.
+    The candidate is S + t*w for the transversal direction w.  Moved back
+    along the case's axis by a base line's intercept on it, it is alpha*T
+    for g_s and beta*S for g_t: two 2x2 systems in (t, alpha) and (t, beta),
+    solved exactly, which must agree on t.  Disagreement would falsify the
+    uniqueness claim, so it surfaces as an inconsistency, not an answer.
     """
-    _shift_axis(scene, case)
+    horizontal = _shift_axis(scene, case).is_horizontal
     s, t_pt = scene.crossings()
     w = scene.l.direction()
-    if case is ProjectionCase.HORIZONTAL_A:
-        shift_s, shift_t = scene.g_s.x_intercept(), scene.g_t.x_intercept()
-        # point.x - shift_s = alpha*t.x, point.y = alpha*t.y; unknowns (t, alpha)
-        first = solve_unique(
-            [[w.dx, -t_pt.x], [w.dy, -t_pt.y]], [shift_s - s.x, -s.y]
+    minus_sx, minus_sy = -s.x, -s.y
+    first, second = (
+        solve_unique(
+            [[w.dx, -ray.x], [w.dy, -ray.y]],
+            [minus_sx + g.x_intercept(), minus_sy] if horizontal
+            else [minus_sx, minus_sy + g.y_intercept()],
         )
-        second = solve_unique(
-            [[w.dx, -s.x], [w.dy, -s.y]], [shift_t - s.x, -s.y]
-        )
-    else:
-        shift_s, shift_t = scene.g_s.y_intercept(), scene.g_t.y_intercept()
-        # point.x = alpha*t.x, point.y - shift_s = alpha*t.y
-        first = solve_unique(
-            [[w.dx, -t_pt.x], [w.dy, -t_pt.y]], [-s.x, shift_s - s.y]
-        )
-        second = solve_unique(
-            [[w.dx, -s.x], [w.dy, -s.y]], [-s.x, shift_t - s.y]
-        )
+        for g, ray in ((scene.g_s, t_pt), (scene.g_t, s))
+    )
     if first[0] != second[0]:
         raise InconsistentError(
             "membership systems disagree on the ray parameter: "

@@ -242,8 +242,8 @@ class Frame:
     """Invertible affine map ``p -> linear @ p + translation`` with rational entries.
 
     Affine frames preserve incidence, parallelism, and length ratios along
-    parallel directions, which is everything the constructions need when
-    they reduce a general axis/origin configuration to the standard one.
+    parallel directions.  They serve :func:`frame_to_standard` and
+    ``transform_scene``, which the frame and equivariance checks use.
     """
 
     linear: tuple

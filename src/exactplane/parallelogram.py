@@ -75,9 +75,9 @@ class StripScene:
             raise PreconditionError("sample point does not lie on the source line")
 
 
-def _require_off_x_axis(scene: StripScene) -> None:
-    if scene.sample.y == 0:
-        raise PreconditionError("sample point lies on the x-axis")
+def _require_off_axis(scene: StripScene, axis: Line) -> None:
+    if (scene.sample.y if axis.is_horizontal else scene.sample.x) == 0:
+        raise PreconditionError(f"sample point lies on the {'x' if axis.is_horizontal else 'y'}-axis")
 
 
 def _require_sloped(scene: StripScene) -> Tuple[Fraction, Fraction, Fraction]:
@@ -94,8 +94,9 @@ def _on_axis(
     spread as the offset.  ``collapsed_line`` gives the line to draw when the
     corners collapse, where ``nu_general`` has none.
 
-    The scene and the caller's guard (sample off ``axis``) already meet every
-    ``AxisStripScene`` precondition, so the construction runs unvalidated."""
+    The scene and the off-axis guard here meet every ``AxisStripScene``
+    precondition, so the construction runs unvalidated."""
+    _require_off_axis(scene, axis)
     r = _nu_general_core(scene, scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
     if r.connecting_line is None:
         return replace(r, connecting_line=collapsed_line(scene))
@@ -104,7 +105,6 @@ def _on_axis(
 
 def build_witness(scene: StripScene) -> AxisParallelogram:
     """The nu construction record: horizontal spread, x-axis intercept."""
-    _require_off_x_axis(scene)
     return _on_axis(scene, X_AXIS, _collapsed_line)
 
 
@@ -125,7 +125,7 @@ def connecting_line(scene: StripScene) -> Line:
     line happens to be vertical and when the corners collapse.
     """
     m, b_g, b_p = _require_sloped(scene)
-    _require_off_x_axis(scene)
+    _require_off_axis(scene, X_AXIS)
     _require_transversal_rays(b_g, m, scene.epsilon)
     x, y = scene.sample.x, scene.sample.y
     return Line(
@@ -147,7 +147,7 @@ def _require_transversal_rays(b_g: Fraction, m: Fraction, eps: Fraction) -> None
 def s_bar_t_bar_closed_form(scene: StripScene) -> Tuple[Point, Point]:
     """Direct coordinates of the two projections, non-vertical scenes only."""
     m, b_g, b_p = _require_sloped(scene)
-    _require_off_x_axis(scene)
+    _require_off_axis(scene, X_AXIS)
     _require_transversal_rays(b_g, m, scene.epsilon)
     x, y = scene.sample.x, scene.sample.y
     f_s = b_p / (b_g + m * scene.epsilon)
@@ -165,7 +165,7 @@ def nu(scene: StripScene) -> Fraction:
 
 def nu_closed_form(scene: StripScene) -> Fraction:
     """intercept(p) * epsilon / intercept(g); never consults the sample."""
-    _require_off_x_axis(scene)
+    _require_off_axis(scene, X_AXIS)
     if scene.g.is_vertical:
         r = scene.g.x_intercept()
         if scene.sample.x - scene.epsilon == 0 or scene.sample.x + scene.epsilon == 0:
@@ -211,8 +211,7 @@ def mu(scene: StripScene) -> Fraction:
 
 
 def mu_closed_form(scene: StripScene) -> Fraction:
-    if scene.sample.x == 0:
-        raise PreconditionError("sample point lies on the y-axis")
+    _require_off_axis(scene, Y_AXIS)
     return nu_closed_form(swap_scene(scene))
 
 
@@ -222,6 +221,4 @@ def mu_witness(scene: StripScene) -> AxisParallelogram:
     ``nu`` holds the mu value; corners are the projections of the vertically
     shifted sources; the connecting line crosses the y-axis at mu.
     """
-    if scene.sample.x == 0:
-        raise PreconditionError("sample point lies on the y-axis")
     return _on_axis(scene, Y_AXIS, lambda s: swap_line(_collapsed_line(swap_scene(s))))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -106,10 +107,16 @@ class TestReductionToCoordinateAxes:
         assert r.t_axis == Point(-1, 0)
 
 
+# an axis through S = (1, 3), and one through T = (5/2, 3/2)
+COINCIDING = {
+    "s": AxisScene(axis=Line(3, 4, 15), origin=Point(5, 0), **BASE),
+    "t": AxisScene(axis=Line(3, -5, 0), origin=ORIGIN, **BASE),
+}
+
+
 class TestDegenerateCases:
     def test_s_coincides(self):
-        # axis through S = (1, 3)
-        scene = AxisScene(axis=Line(3, 4, 15), origin=Point(5, 0), **BASE)
+        scene = COINCIDING["s"]
         r = construct_p(scene)
         assert r.case_tag is AxisCase.S_COINCIDES
         assert r.p == Point(1, 3) == r.s == r.s_axis
@@ -119,14 +126,53 @@ class TestDegenerateCases:
         assert all(verify_p2(r).values())
 
     def test_t_coincides(self):
-        # axis through T = (5/2, 3/2)
-        scene = AxisScene(axis=Line(3, -5, 0), origin=ORIGIN, **BASE)
+        scene = COINCIDING["t"]
         r = construct_p(scene)
         assert r.case_tag is AxisCase.T_COINCIDES
         assert r.p == Point(Fraction(5, 2), Fraction(3, 2)) == r.t == r.t_axis
         assert r.s_p == scene.origin
         assert r.t_p is None
         assert all(verify_p2(r).values())
+
+
+def _moved(q):
+    return Point(q.x + 1, q.y)
+
+
+# a fault planted in a coincidence record, and the key that must report it
+FAULTS = {
+    "point-off-crossing": (lambda r, c: {"p": _moved(r.p)}, "point_is_{}"),
+    "parallel-own-axis": (
+        lambda r, c: {"axis_p": Line(r.axis_p.a, r.axis_p.b, r.axis_p.c + 1)},
+        "own_axis_is_axis",
+    ),
+    "other-ray": (lambda r, c: {"z_s": r.z_t} if c == "s" else {"z_t": r.z_s}, "{}_ray_is_axis"),
+    "companion-off-center": (
+        lambda r, c: {"t_p": _moved(r.t_p)} if c == "s" else {"s_p": _moved(r.s_p)},
+        "companion_is_center",
+    ),
+}
+
+
+class TestCoincidenceCertificate:
+    """S_COINCIDES and T_COINCIDES share one certificate; it must still name
+    the crossing in its keys and tell each fault apart, in both roles."""
+
+    @pytest.mark.parametrize("crossing", list(COINCIDING))
+    def test_keys_name_the_crossing(self, crossing):
+        assert set(verify_p2(construct_p(COINCIDING[crossing]))) == {
+            "point_on_transversal", "own_axis_parallel", "point_on_own_axis",
+            f"point_is_{crossing}", "own_axis_is_axis", f"{crossing}_ray_is_axis",
+            "companion_is_center", f"distance_{crossing}",
+        }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("crossing", list(COINCIDING))
+    def test_each_fault_turns_its_key_false(self, crossing, fault):
+        record = construct_p(COINCIDING[crossing])
+        changes, key = FAULTS[fault]
+        checks = verify_p2(replace(record, **changes(record, crossing)))
+        assert checks[key.format(crossing)] is False
 
 
 class TestValidation:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,8 +309,10 @@ STDOUT_RUNS = [
     (["figure", "pic1"], 0),
     (["check", "--trials", "1", "--only", "kernel-intersection"], 0),
     (["phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=(1", "--json"], 2),
+    (["--help"], 0),
+    (["phor", "--help"], 0),
 ]
-STDOUT_RUN_IDS = ["phor", "phor-json", "figure", "check", "error-document"]
+STDOUT_RUN_IDS = ["phor", "phor-json", "figure", "check", "error-document", "help", "phor-help"]
 
 
 class TestClosedStdout:
@@ -504,12 +507,14 @@ README_NG = (
 
 # The same digests for the README examples of the other subcommands and for
 # their degenerate branches:
-# S on the axis (s_p prints "-") and p through the center (no connecting line).
+# S or T on the axis (s_p or t_p prints "-") and p through the center (no
+# connecting line).
 SCENES = {
     "phor": ("phor", *PIC1),
     "pver": ("pver", *PIC1),
     "construct-p": (*README_CP, "--line-axis", "1x-3y=3", "--origin", "(3, 0)"),
     "construct-p-s-coincides": (*README_CP, "--line-axis", "3x+4y=15", "--origin", "(5, 0)"),
+    "construct-p-t-coincides": (*README_CP, "--line-axis", "3x-5y=0", "--origin", "(0, 0)"),
     "nu-general": (*README_NG, "--line-p", "y=2x+2"),
     "nu-general-collapsed": (*README_NG, "--line-p", "y=2x-8"),
 }
@@ -518,6 +523,7 @@ SCENE_GOLDEN = {
     "pver": "41a983a9304a277f9b985a6f34489c07f5e8df33b4fece931ffb3827ec9c92d8",
     "construct-p": "7ae2e9d30c75f541c10a4180e4328c801bd35004b541dab1e1b08b4dcc4b4ceb",
     "construct-p-s-coincides": "bae3260102d7303df7c48c1762e540539432bcfb9ed7f3c055e62aa082e6b6fd",
+    "construct-p-t-coincides": "ff38ff693b48d7d53fed8cf502fba2f0dd5052a870410c9a49e8cf41764e749f",
     "nu-general": "fa429a69286139c2f40ebe25e22e1c6b7d39dc21ff86b6d243ea69b4804e3dfd",
     "nu-general-collapsed": "0225623f2554001826925d0b70d5bee5633eabe56044360bfe7543496779488e",
 }
@@ -527,6 +533,48 @@ SCENE_GOLDEN = {
 def test_scene_output_matches_golden_digest(name, tmp_path, capsys):
     digest = _text_json_svg_digest(SCENES[name], tmp_path / "scene.svg", capsys)
     assert digest == SCENE_GOLDEN[name]
+
+
+# One sha256 per pool over cli.main on a fixed scene pool from
+# perfbench/gen.py (seed 0, label "pin", 20 scenes per construction): for each
+# scene, the exit code, stdout, stderr and SVG bytes of a text run, a --json
+# run and a --json --svg-out run.  The pool was fixed before the code it
+# guards.  A change that moves a digest says why; it never shrinks or
+# re-seeds the pool to hide a difference.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+POOL_FLAGS = {
+    "g_s": "--line-g-s", "g_t": "--line-g-t", "l": "--line-l", "axis": "--line-axis",
+    "g": "--line-g", "p": "--line-p", "origin": "--origin", "epsilon": "--epsilon",
+    "offset": "--offset", "sample": "--sample",
+}
+POOL_GOLDEN = {
+    "small": "714e8ca09e91017a0778cd4cf0961267a028be1ddf60080f76f680b6ebd1abd6",
+    "wide": "d3e04badffa799aa0d88876a3d3318bc288fd2c9a682f36c426dff9c3ea9964c",
+}
+
+
+def _scene_pool(wide):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return gen.scene_pool(0, wide, 20, "pin")
+
+
+@pytest.mark.parametrize("pool", list(POOL_GOLDEN))
+def test_scene_pool_output_matches_golden_digest(pool, tmp_path, capsys):
+    svg = tmp_path / "scene.svg"
+    digest = hashlib.sha256()
+    for scene, _ in _scene_pool(pool == "wide"):
+        argv = [scene.kind, *(f"{POOL_FLAGS[k]}={v}" for k, v in scene.texts.items())]
+        for extra in ((), ("--json",), ("--json", f"--svg-out={svg}")):
+            svg.unlink(missing_ok=True)
+            code = main([*argv, *extra])
+            out, err = capsys.readouterr()
+            drawn = svg.read_bytes() if svg.exists() else b""
+            digest.update(repr((code, out, err, drawn)).encode())
+    assert digest.hexdigest() == POOL_GOLDEN[pool]
 
 
 # sha256 of the --json error envelope: exit code, then document

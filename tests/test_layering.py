@@ -7,7 +7,9 @@ geometry module names ``textio``, ``figures``, ``checks`` or ``cli``, if
 ``checks`` or ``cli``, or if ``figures`` or ``checks`` names the other or
 ``cli``.  Among the geometry modules, each general construction stays below
 its coordinate-axis case: ``parallelogram_axis`` below ``parallelogram``,
-and ``axis_projection`` below ``double_projection``.
+and ``axis_projection`` below ``double_projection``.  The closed forms and
+``oracle_point`` stay independent of the elimination they check: they may
+share its case guard (``_shift_axis``), but name none of its functions.
 """
 
 import ast
@@ -73,3 +75,19 @@ def test_general_parallelogram_imports_not_its_coordinate_axis_case():
 def test_general_projection_imports_not_its_coordinate_axis_case():
     offending = offending_imports("axis_projection", {"double_projection"})
     assert offending == [], f"axis_projection imports {offending}"
+
+
+# the first proposition's elimination and everything built on it
+ELIMINATION = {
+    "_eliminate", "_eliminate_on", "_witness", "p_hor", "p_ver", "rho_pair", "rho_tilde_pair",
+}
+
+
+@pytest.mark.parametrize("oracle", ["p_hor_closed_form", "p_ver_closed_form", "oracle_point"])
+def test_projection_oracles_name_no_elimination_function(oracle):
+    tree = ast.parse((PACKAGE / "double_projection.py").read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == oracle]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    offending = sorted(named & ELIMINATION)
+    assert offending == [], f"{oracle} names {offending}"
