@@ -93,7 +93,5 @@ from .parallelogram_axis import (
     transform_scene,
     transported_offset,
 )
-from .checks import PROPERTY_NAMES, PropertyReport, run_all, run_property, summarize
-from .figures import FIGURES, Viewport, render_figure, render_svg
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ from . import double_projection as dp
 from . import parallelogram as pg
 from . import parallelogram_axis as pga
 from . import textio
-from .checks import PROPERTY_NAMES, run_all, summarize
 from .errors import GeomError, InconsistentError, ParseError
 from .figures import (
     FIGURES,
@@ -113,9 +112,10 @@ def _report(
     ``label: value`` text rows.  The inputs echo the scene's fields, whose
     names are the document's keys.  ``elements`` builds the figure, and is
     called only when an SVG is written."""
-    # the SVG goes first, so a bad viewport flag prints only its error
+    # a bad viewport flag prints only its error, with or without --svg-out
+    viewport = _viewport(args, Viewport())
     if args.svg_out:
-        _write_svg_out(args.svg_out, render_svg(title, elements(), _viewport(args, Viewport())))
+        _write_svg_out(args.svg_out, render_svg(title, elements(), viewport))
     if args.json:
         inputs = {f.name: getattr(scene, f.name) for f in dataclasses.fields(scene)}
         doc = {
@@ -281,6 +281,7 @@ def _run_construction(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_all, summarize
     reports = run_all(args.seed, args.trials, args.only)
     _out(summarize(reports) + "\n")
     return 0 if all(r.ok for r in reports) else 1
@@ -320,7 +321,8 @@ def _trials(text: str) -> int:
 
 
 def _property_names(text: str) -> List[str]:
-    names = [name.strip() for name in text.split(",") if name.strip()]
+    from .checks import PROPERTY_NAMES
+    names = list(dict.fromkeys(name.strip() for name in text.split(",") if name.strip()))
     unknown = sorted(set(names) - set(PROPERTY_NAMES))
     if unknown or not names:
         # an empty list would pass on zero evidence

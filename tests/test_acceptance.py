@@ -32,9 +32,9 @@ from exactplane import (
     nu_general,
     p_hor,
     p_ver,
-    render_figure,
-    run_property,
 )
+from exactplane.checks import run_property
+from exactplane.figures import render_figure
 
 PAIR = dict(g_s=Line(-2, 1, 4), g_t=Line(-2, 1, 2))
 

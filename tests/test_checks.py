@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactplane import (
+from exactplane.checks import (
     PROPERTY_NAMES,
     PropertyReport,
     run_all,

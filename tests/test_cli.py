@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from exactplane import render_figure
+from exactplane.figures import render_figure
 from exactplane.cli import main
 
 BASE = [sys.executable, "-m", "exactplane.cli"]
@@ -246,6 +246,40 @@ class TestBadInputExits2:
         )
         self.assert_clean_exit_2(r)
         assert "E_PARSE" in r.stderr
+
+
+NU = ("nu", "--line-g", "y=2x+4", "--line-p", "y=2x+2", "--epsilon", "4")
+
+
+class TestViewportWithoutSvgOut:
+    """A construction run reads its viewport flags whether or not it writes
+    an SVG, so a bad one is the same parse error either way."""
+
+    @pytest.mark.parametrize(
+        "viewport", [("--width", "abc"), ("--xmin", "1", "--xmax", "0")], ids=["width", "extent"]
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_bad_flag_exits_2_as_with_svg_out(self, viewport, json_flag, tmp_path, capsys):
+        argv = [*NU, "--sample", "(0, 4)", *viewport, *json_flag]
+        assert main(argv) == 2
+        without = capsys.readouterr()
+        out = tmp_path / "scene.svg"
+        assert main([*argv, "--svg-out", str(out)]) == 2
+        assert capsys.readouterr() == without
+        assert not out.exists()
+        assert "E_PARSE" in (without.out if json_flag else without.err)
+
+    def test_precondition_error_still_exits_3(self, capsys):
+        assert main([*NU, "--sample", "(1, 1)", "--width", "abc"]) == 3
+        assert "E_PRECONDITION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_valid_flags_leave_stdout_unchanged(self, json_flag, capsys):
+        argv = [*NU, "--sample", "(0, 4)", *json_flag]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--xmin", "-20", "--xmax", "20", "--width", "300"]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestArgvErrors:
@@ -607,6 +641,13 @@ class TestCheckCommand:
         assert r.returncode == 0
         assert "strip-closed-forms" in r.stdout
         assert "kernel-intersection" not in r.stdout
+
+    def test_repeated_only_name_runs_once(self, capsys):
+        only = "kernel-intersection,kernel-intersection"
+        assert main(["check", "--trials", "1", "--only", only]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 1
+        assert "all 1 properties passed" in out
 
     @pytest.mark.parametrize("only", [",", " ", ""], ids=["comma", "space", "empty"])
     def test_only_naming_no_property_is_2(self, only, capsys):

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from exactplane import FIGURES, PROPERTY_NAMES, Line, Point, format_line, format_point, format_scalar
+from exactplane import Line, Point, format_line, format_point, format_scalar
+from exactplane.checks import PROPERTY_NAMES
+from exactplane.figures import FIGURES
 from exactplane.cli import main
 
 from conftest import lines, nonzero_rationals, points, rationals

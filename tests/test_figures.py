@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from exactplane import Line, Point, Viewport, render_figure, render_svg
+from exactplane import Line, Point
+from exactplane.figures import Viewport, render_figure, render_svg
 from exactplane.figures import (
     LineElement,
     MarkElement,

@@ -5,7 +5,9 @@ Reads each module's import statements (without importing it) and fails if a
 geometry module names ``textio``, ``figures``, ``checks`` or ``cli``, if
 ``textio`` (whose flag rule ``cli`` and ``checks`` share) names ``figures``,
 ``checks`` or ``cli``, or if ``figures`` or ``checks`` names the other or
-``cli``.  Among the geometry modules, each general construction stays below
+``cli``.  The package root names none of ``checks``, ``figures`` or ``cli``,
+and a fresh interpreter loads ``checks`` only for ``exactplane check``.
+Among the geometry modules, each general construction stays below
 its coordinate-axis case: ``parallelogram_axis`` below ``parallelogram``,
 and ``axis_projection`` below ``double_projection``.  The closed forms and
 ``oracle_point`` stay independent of the elimination they check: they may
@@ -13,6 +15,9 @@ share its case guard (``_shift_axis``), but name none of its functions.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +70,78 @@ def test_geometry_module_imports_no_presentation_layer(module):
 def test_presentation_module_imports_no_layer_above_it(module):
     offending = offending_imports(module, PRESENTATION_BELOW[module])
     assert offending == [], f"{module} imports {offending}"
+
+
+def test_package_root_imports_no_check_engine_renderer_or_cli():
+    offending = offending_imports("__init__", {"checks", "figures", "cli"})
+    assert offending == [], f"exactplane/__init__.py imports {offending}"
+
+
+# what each kind of run leaves in sys.modules of a fresh interpreter
+ROOT_MODULES = {
+    "exactplane", *(f"exactplane.{name}" for name in (*GEOMETRY, "errors", "textio")),
+}
+CLI_MODULES = ROOT_MODULES | {"exactplane.cli", "exactplane.figures"}
+CHECK_MODULES = CLI_MODULES | {"exactplane.checks"}
+
+CONSTRUCTIONS = {
+    "phor": ("phor", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=1"),
+    "pver": ("pver", "--line-g-s", "y=2x+4", "--line-g-t", "y=2x+2", "--line-l", "y=1"),
+    "construct-p": (
+        "construct-p", "--line-g-s", "y=x+2", "--line-g-t", "y=x-1", "--line-l", "1x+1y=4",
+        "--line-axis", "1x-3y=3", "--origin", "(3, 0)",
+    ),
+    "nu": ("nu", "--line-g", "y=2x+4", "--line-p", "y=2x+2", "--epsilon", "4",
+           "--sample", "(0, 4)"),
+    "mu": ("mu", "--line-g", "1x-2y=4", "--line-p", "1x-2y=2", "--epsilon", "4",
+           "--sample", "(4, 0)"),
+    "nu-general": (
+        "nu-general", "--line-g", "y=2x+4", "--line-p", "y=2x+2", "--line-axis", "1x-4y=4",
+        "--origin", "(4, 0)", "--offset", "3", "--sample", "(0, 4)",
+    ),
+}
+
+
+def loaded_modules(argv=None):
+    """The ``exactplane`` modules a fresh interpreter holds after importing
+    the package, or after ``cli.main(argv)`` exits 0 with its output dropped."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is None:\n"
+        "    import exactplane\n"
+        "else:\n"
+        "    from exactplane.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'exactplane')))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stdout))
+
+
+def test_import_loads_only_the_geometry():
+    assert loaded_modules() == ROOT_MODULES
+
+
+@pytest.mark.parametrize("mode", ["text", "json", "svg"])
+@pytest.mark.parametrize("command", list(CONSTRUCTIONS))
+def test_construction_run_loads_no_check_engine(command, mode, tmp_path):
+    extra = {"text": [], "json": ["--json"], "svg": ["--svg-out", str(tmp_path / "scene.svg")]}
+    assert loaded_modules([*CONSTRUCTIONS[command], *extra[mode]]) == CLI_MODULES
+
+
+def test_figure_run_loads_no_check_engine():
+    assert loaded_modules(["figure", "pic1"]) == CLI_MODULES
+
+
+def test_check_run_loads_the_check_engine():
+    argv = ["check", "--trials", "1", "--only", "kernel-intersection"]
+    assert loaded_modules(argv) == CHECK_MODULES
 
 
 def test_general_parallelogram_imports_not_its_coordinate_axis_case():
