@@ -614,7 +614,7 @@ def _check_strip_closed_forms(rng: random.Random, k: int) -> Optional[str]:
     s_bar, t_bar = pg.s_bar_t_bar_closed_form(scene)
     if (s_bar, t_bar) != (w.s_bar, w.t_bar):
         return _fail("projection closed form disagrees", "nu", scene)
-    if w.t_bar != w.neg_s_bar and pg.connecting_line(scene) != w.connecting_line:
+    if pg.connecting_line(scene) != w.connecting_line:
         return _fail("connecting-line closed form disagrees", "nu", scene)
     if pg.minus_nu_check(scene) != -w.nu:
         return _fail("mirror intercept is not the negation", "nu", scene)

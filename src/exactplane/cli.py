@@ -58,14 +58,19 @@ from .textio import field_flag, format_scalar, format_value
 # ------------------------------------------------------------- output
 
 def _write(stream, text: str) -> Optional[OSError]:
-    """Write ``text`` to ``stream``, ``sys.stdout`` or ``sys.stderr``.  If
-    that fails, the stream is pointed at the null device, so the
+    """Write ``text`` to ``stream``, ``sys.stdout`` or ``sys.stderr``, as
+    UTF-8 whatever its encoding (an SVG declares UTF-8); a ``StringIO`` takes
+    the text.  If that fails, the stream is pointed at the null device, so the
     interpreter's final flush cannot fail either, and the error is returned.
     A stream the interpreter could not open is ``None`` and takes nothing."""
     if stream is None:
         return None
     try:
-        stream.write(text)
+        if hasattr(stream, "buffer"):
+            stream.flush()
+            stream.buffer.write(text.encode("utf-8", stream.errors))
+        else:
+            stream.write(text)
         stream.flush()
     except OSError as err:
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -21,10 +21,13 @@ x-axis (for ``nu``) or the y-axis (for ``mu``) as the axis, the origin as the
 center and epsilon as the offset.  ``build_witness`` and ``mu_witness`` add
 the coordinate-axis preconditions and return its record,
 :class:`.parallelogram_axis.AxisParallelogram`, whose ``nu`` is then the
-intercept itself.  Where the corners collapse onto the origin and
-``nu_general`` has no connecting line, they fill in a line through the
-origin, so their records always carry one.  The closed forms live in
-separate functions so tests can play them against the construction.
+intercept itself.  Where the corners collapse onto the origin (``p`` runs
+through it), ``nu_general`` has no connecting line, and one collapse rule
+gives the line through the origin of direction S*g0(T) + T*g0(S), for the
+sources S, T and g0(X) = g.a*X.x + g.b*X.y: moving ``p`` off the origin only
+scales the corners about it, so every other ``p`` gives that direction.  A
+pair perpendicular to the axis takes its own parallel through the origin.
+``nu`` and ``mu`` run no closed form; the closed forms are separate oracles.
 epsilon is normalized to its absolute value on scene construction: a
 negative spread merely swaps S and T.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Tuple
 
 from .errors import (
     CaseUnavailableError,
@@ -87,34 +90,27 @@ def _require_sloped(scene: StripScene) -> Tuple[Fraction, Fraction, Fraction]:
     return scene.g.slope(), scene.g.y_intercept(), scene.p.y_intercept()
 
 
-def _on_axis(
-    scene: StripScene, axis: Line, collapsed_line: Callable[[StripScene], Line]
-) -> AxisParallelogram:
+def _on_axis(scene: StripScene, axis: Line) -> AxisParallelogram:
     """``nu_general`` on a coordinate axis through the origin, with the
-    spread as the offset.  ``collapsed_line`` gives the line to draw when the
-    corners collapse, where ``nu_general`` has none.
-
-    The scene and the off-axis guard here meet every ``AxisStripScene``
+    spread as the offset and the collapse rule's line where it has none.
+    The scene and the off-axis guard meet every ``AxisStripScene``
     precondition, so the construction runs unvalidated."""
     _require_off_axis(scene, axis)
-    r = _nu_general_core(scene, scene.p, axis, ORIGIN, scene.epsilon, scene.sample)
-    if r.connecting_line is None:
-        return replace(r, connecting_line=collapsed_line(scene))
-    return r
+    r = _nu_general_core(scene, axis, ORIGIN, scene.epsilon)
+    if r.connecting_line is not None:
+        return r
+    g, s, t = scene.g, r.s, r.t
+    if g.a * axis.a + g.b * axis.b == 0:
+        # a pair perpendicular to the axis keeps its own direction
+        return replace(r, connecting_line=Line(g.a, g.b, 0))
+    # the line through the origin with direction (dx, dy) is dy*x - dx*y = 0
+    g_s, g_t = g.a * s.x + g.b * s.y, g.a * t.x + g.b * t.y
+    return replace(r, connecting_line=Line(s.y * g_t + t.y * g_s, -(s.x * g_t + t.x * g_s), 0))
 
 
 def build_witness(scene: StripScene) -> AxisParallelogram:
     """The nu construction record: horizontal spread, x-axis intercept."""
-    return _on_axis(scene, X_AXIS, _collapsed_line)
-
-
-def _collapsed_line(scene: StripScene) -> Line:
-    # Any line through the origin (other than the x-axis itself) carries the
-    # collapsed corners and the zero intercept; reuse the closed form where
-    # it exists, the y-axis otherwise.
-    if scene.g.is_vertical:
-        return Line(1, 0, 0)
-    return connecting_line(scene)
+    return _on_axis(scene, X_AXIS)
 
 
 def connecting_line(scene: StripScene) -> Line:
@@ -221,4 +217,4 @@ def mu_witness(scene: StripScene) -> AxisParallelogram:
     ``nu`` holds the mu value; corners are the projections of the vertically
     shifted sources; the connecting line crosses the y-axis at mu.
     """
-    return _on_axis(scene, Y_AXIS, lambda s: swap_line(_collapsed_line(swap_scene(s))))
+    return _on_axis(scene, Y_AXIS)

@@ -104,20 +104,19 @@ class AxisParallelogram:
 
 def nu_general(scene: AxisStripScene) -> AxisParallelogram:
     """Run the construction and return all four corners plus the axis point."""
-    return _nu_general_core(scene, scene.p, scene.axis, scene.origin, scene.offset, scene.sample)
+    return _nu_general_core(scene, scene.axis, scene.origin, scene.offset)
 
 
-def _nu_general_core(
-    scene: object, p: Line, axis: Line, origin: Point, offset: Fraction, sample: Point
-) -> AxisParallelogram:
-    """The ``nu_general`` record of ``scene``, for inputs that already meet
+def _nu_general_core(scene, axis: Line, origin: Point, offset: Fraction) -> AxisParallelogram:
+    """The ``nu_general`` record of ``scene``'s ``p`` and ``sample`` (an
+    ``AxisStripScene`` or a ``StripScene``), for inputs that already meet
     every ``AxisStripScene`` precondition."""
     # neither source is the center: both lie on the parallel to the axis
     # through the sample, which the scene keeps off the axis
     d = axis.direction()
-    s, t = translate(sample, d, -offset), translate(sample, d, offset)
-    s_bar = project_through(origin, s, p)
-    t_bar = project_through(origin, t, p)
+    s, t = translate(scene.sample, d, -offset), translate(scene.sample, d, offset)
+    s_bar = project_through(origin, s, scene.p)
+    t_bar = project_through(origin, t, scene.p)
     neg_s_bar = reflect_through(s_bar, origin)
     neg_t_bar = reflect_through(t_bar, origin)
     if t_bar == neg_s_bar:

@@ -127,6 +127,27 @@ class TestMutationDetection:
         assert report.failures == 10
         assert any("replay: exactplane nu-general" in ex for ex in report.examples)
 
+    def test_collapsed_connecting_line_closed_form_is_caught(self, monkeypatch):
+        # nu draws its collapsed line by its own rule, not the closed form, so
+        # a closed form wrong only where p runs through the origin changes no
+        # record and is caught by comparing the two
+        real = pg.connecting_line
+        collapsed = pg.StripScene(
+            g=Line(-2, 1, 4), p=Line(-2, 1, 0), epsilon=4, sample=Point(0, 4)
+        )
+        record = pg.build_witness(collapsed)
+
+        def skewed(scene):
+            line = real(scene)
+            return Line(line.a, line.b + 1, line.c) if scene.p.c == 0 else line
+
+        monkeypatch.setattr(pg, "connecting_line", skewed)
+        assert pg.connecting_line(collapsed) != record.connecting_line
+        assert pg.build_witness(collapsed) == record
+        report = run_property("strip-closed-forms", seed=2, trials=20)
+        assert report.failures > 0
+        assert all("connecting-line closed form disagrees" in ex for ex in report.examples)
+
     def test_crashing_property_counts_as_failure(self, monkeypatch):
         monkeypatch.setattr(
             pg, "nu_closed_form", lambda scene: 1 / 0

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -172,6 +174,20 @@ class TestFigureCommand:
 
     def test_deterministic(self):
         assert run_cli("figure", "pic3").stdout == run_cli("figure", "pic3").stdout
+
+    @pytest.mark.parametrize("name", ["pic1", "pic2", "pic3", "pic4"])
+    def test_non_utf8_stdout_takes_the_utf8_svg(self, name):
+        # the bytes the SVG's encoding declaration promises, as --svg-out writes
+        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+        r = subprocess.run(BASE + ["figure", name], capture_output=True, env=env, timeout=120)
+        assert (r.returncode, b"Traceback" in r.stderr) == (0, False)
+        assert r.stdout == render_figure(name).encode("utf-8")
+
+    def test_in_process_stringio_stdout_takes_the_text(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["figure", "pic3"]) == 0
+        assert buf.getvalue() == render_figure("pic3")
 
     def test_svg_out(self, tmp_path):
         out = tmp_path / "fig.svg"

@@ -11,7 +11,10 @@ Among the geometry modules, each general construction stays below
 its coordinate-axis case: ``parallelogram_axis`` below ``parallelogram``,
 and ``axis_projection`` below ``double_projection``.  The closed forms and
 ``oracle_point`` stay independent of the elimination they check: they may
-share its case guard (``_shift_axis``), but name none of its functions.
+share its case guard (``_shift_axis``), but name none of its functions.  In
+the mirror image, the parallelogram constructions (``build_witness``,
+``mu_witness``, ``nu``, ``mu`` and ``nu_general``, with every function of
+their module they reach) name none of the closed forms or their guards.
 """
 
 import ast
@@ -168,3 +171,33 @@ def test_projection_oracles_name_no_elimination_function(oracle):
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     offending = sorted(named & ELIMINATION)
     assert offending == [], f"{oracle} names {offending}"
+
+
+# the parallelogram closed forms, their guards, and the coordinate swap
+STRIP_ORACLES = {
+    "connecting_line", "nu_closed_form", "mu_closed_form", "s_bar_t_bar_closed_form",
+    "minus_nu_check", "swap_scene", "_require_sloped", "_require_transversal_rays",
+}
+
+
+def names_reachable(module: str, entries):
+    """Every bare name the module-level functions ``entries`` use, following
+    the module's own functions they name, called or passed along.  Attributes
+    are left out: the record's ``connecting_line`` field is not the oracle."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named, todo = set(entries), list(entries)
+    while todo:
+        ids = {node.id for node in ast.walk(functions[todo.pop()]) if isinstance(node, ast.Name)}
+        todo += sorted((ids & functions.keys()) - named)
+        named |= ids
+    return named
+
+
+@pytest.mark.parametrize("module, entries", [
+    ("parallelogram", ["build_witness", "mu_witness", "nu", "mu"]),
+    ("parallelogram_axis", ["nu_general", "_nu_general_core"]),
+], ids=["parallelogram", "parallelogram_axis"])
+def test_parallelogram_constructions_name_no_oracle(module, entries):
+    offending = sorted(names_reachable(module, entries) & STRIP_ORACLES)
+    assert offending == [], f"{module} constructions name {offending}"

@@ -26,10 +26,12 @@ from exactplane import (  # noqa: E402
     connecting_line,
     construct_p,
     line_through,
+    mu_witness,
     nu_closed_form,
     nu_general,
     rho_pair,
     s_bar_t_bar_closed_form,
+    swap_line,
 )
 
 
@@ -145,6 +147,20 @@ def _closed_connecting_line():
     return y * b_g, -(qx * b_g + m_g * k ** 2), y * b_p * k
 
 
+def _collapse_direction(line, q, d):
+    """The collapse rule's direction S*g0(T) + T*g0(S) for the sources
+    S, T = q -+ k*d and g0(X) = line[0]*X.x + line[1]*X.y."""
+    s, t = (q[0] - k * d[0], q[1] - k * d[1]), (q[0] + k * d[0], q[1] + k * d[1])
+    g_s, g_t = _dot(line, s), _dot(line, t)
+    return tuple(sympy.expand(s[i] * g_t + t[i] * g_s) for i in range(2))
+
+
+# the collapse rule's direction for nu, and for mu on the swapped pair
+# x = m_g*y + b_g through the swapped sample, spread along the y-axis
+NU_COLLAPSE = _collapse_direction((-m_g, 1), (qx, m_g * qx + b_g), (1, 0))
+MU_COLLAPSE = _collapse_direction((1, -m_g), (m_g * qx + b_g, qx), (0, 1))
+
+
 def _strip(values, vertical=False):
     """The library's StripScene for given values of the symbols."""
     if vertical:
@@ -202,6 +218,32 @@ class TestStripClosedForms:
         scene = _strip(values, vertical=True)
         assert build_witness(scene).nu == _exact(_axis_parameter((1, 0), **VERTICAL), values)
         assert nu_closed_form(scene) == _exact(c_p * k / qx, values)
+
+    def test_collapse_rule_is_the_collapsed_connecting_line(self):
+        # at b_p = 0 the closed form is a line through the origin, and the
+        # collapse rule's direction runs along it
+        A, B, C = (sympy.expand(c.subs(b_p, 0)) for c in _closed_connecting_line())
+        assert C == 0
+        assert sympy.expand(A * NU_COLLAPSE[0] + B * NU_COLLAPSE[1]) == 0
+
+    def test_swapped_collapse_rule_is_the_swapped_collapsed_line(self):
+        # mu's line is the coordinate swap of nu's on the swapped scene
+        A, B, _ = (sympy.expand(c.subs(b_p, 0)) for c in _closed_connecting_line())
+        assert sympy.expand(B * MU_COLLAPSE[0] + A * MU_COLLAPSE[1]) == 0
+
+    @pytest.mark.parametrize("values", SLOPED_VALUES, ids=["worked", "mixed"])
+    def test_the_library_computes_the_same_collapsed_lines(self, values):
+        values = {**values, b_p: 0}
+        closed = Line(*(_exact(c, values) for c in _closed_connecting_line()))
+        dx_nu, dy_nu = (_exact(c, values) for c in NU_COLLAPSE)
+        scene = _strip(values)
+        assert build_witness(scene).connecting_line == Line(dy_nu, -dx_nu, 0) == closed
+        assert connecting_line(scene) == closed
+        dx_mu, dy_mu = (_exact(c, values) for c in MU_COLLAPSE)
+        g, p = Line(1, -values[m_g], values[b_g]), Line(1, -values[m_g], 0)
+        sample = Point(values[m_g] * values[qx] + values[b_g], values[qx])
+        swapped = StripScene(g, p, values[k], sample)
+        assert mu_witness(swapped).connecting_line == Line(dy_mu, -dx_mu, 0) == swap_line(closed)
 
 
 # ------------------------------------------------ the ray-parameter identity
