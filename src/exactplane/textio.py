@@ -1,20 +1,25 @@
 """Parsing and printing of scalars, points, and lines.
 
-Input grammar (whitespace is free between tokens, ``*`` is optional between a
-coefficient and its variable):
+Input grammar:
 
-    scalar  :=  ['+'|'-'] digits [ '/' digits ]
-    point   :=  '(' scalar ',' scalar ')'
-    line    :=  'x' '=' scalar
-             |  'y' '=' scalar
-             |  'y' '=' scalar ['*'] 'x' ('+'|'-') unsigned-scalar
-             |  scalar ['*'] 'x' ('+'|'-') unsigned-scalar ['*'] 'y' '=' scalar
+    scalar    :=  ['+'|'-'] unsigned
+    unsigned  :=  digits [ '/' digits ]
+    coeff     :=  [ unsigned ['*'] ]
+    point     :=  '(' scalar ',' scalar ')'
+    line      :=  'x' '=' scalar
+               |  'y' '=' scalar
+               |  'y' '=' ['+'|'-'] coeff 'x' [ ('+'|'-') unsigned ]
+               |  ['+'|'-'] coeff 'x' ('+'|'-') coeff 'y' '=' scalar
 
-A bare ``x`` term may omit its coefficient ("y=x+2" means slope 1, "y=-x+2"
-slope -1); printers always emit an explicit coefficient.  All printers emit
-text the parsers map back to the identical value, with one exception: an
-integer part over the interpreter's int-string limit (4300 digits) still
-prints exactly, but the parsers reject it like any over-long literal.
+So the slope form's offset is optional, a bare or negated ``x`` needs no
+coefficient ("y=x" is slope 1, "y=-x+2" slope -1), the ``*`` is optional, and
+a leading '+' is allowed; exactly one sign joins the offset or the y term.
+Whitespace may go between any two tokens, but not inside ``p/q``.  A digit is
+any Unicode decimal digit ("x=٣" is "x=3"); a numeral holding another
+``str.isdigit`` character such as ``²``, or over the interpreter's int-string
+limit (4300 digits), is a parse error.  Printers always emit an explicit
+coefficient, and the parsers map all printed text back to the identical
+value, except an integer part over that limit, which prints exactly.
 """
 
 from __future__ import annotations
@@ -67,42 +72,38 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
+    def peek(self) -> str:
+        """The next character past any whitespace ("" at the end), which the
+        cursor moves up to."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
+    def accept(self, ch: str) -> bool:
+        if self.peek() != ch:
+            return False
+        self.pos += 1
+        return True
+
+    def error(self, expected: str) -> ParseError:
+        found = self.text[self.pos : self.pos + 1]
+        found = f"character {found!r}" if found else "end of input"
+        return ParseError(f"unexpected {found}", self.pos, expected)
 
     def take(self, ch: str, expected: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"unexpected {self._describe()}", self.pos, expected)
-        self.pos += 1
-
-    def _describe(self) -> str:
-        if self.pos >= len(self.text):
-            return "end of input"
-        return f"character {self.text[self.pos]!r}"
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        if not self.accept(ch):
+            raise self.error(expected)
 
     def expect_end(self) -> None:
-        if not self.at_end():
-            raise ParseError(
-                f"unexpected {self._describe()}", self.pos, "end of input"
-            )
+        if self.peek():
+            raise self.error("end of input")
 
     def digits(self) -> int:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            raise ParseError(f"unexpected {self._describe()}", self.pos, "a digit")
+            raise self.error("a digit")
         try:
             return int(self.text[start : self.pos])
         except ValueError:
@@ -115,9 +116,9 @@ class _Scanner:
             ) from None
 
     def unsigned_scalar(self) -> Fraction:
-        self.skip_ws()
+        self.peek()  # no whitespace inside "p/q", but some may come before
         numerator = self.digits()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
+        if self.text.startswith("/", self.pos):
             self.pos += 1
             slash = self.pos
             denominator = self.digits()
@@ -127,20 +128,30 @@ class _Scanner:
         return Fraction(numerator)
 
     def sign(self) -> int:
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
+        if self.accept("-"):
             return -1
-        if ch == "+":
-            self.pos += 1
+        self.accept("+")
         return 1
+
+    def signed(self, before: str) -> int:
+        """The one '+' or '-' that must come before ``before``, an unsigned term."""
+        if self.accept("-"):
+            return -1
+        if self.accept("+"):
+            return 1
+        raise self.error(f"'+' or '-' before {before}")
 
     def scalar(self) -> Fraction:
         return self.sign() * self.unsigned_scalar()
 
-    def maybe_star(self) -> None:
-        if self.peek() == "*":
-            self.pos += 1
+    def term(self, var: str, sign: int) -> Fraction:
+        """``sign`` times the coefficient of ``coeff var``."""
+        if self.accept(var):
+            return Fraction(sign)
+        coefficient = sign * self.unsigned_scalar()
+        self.accept("*")
+        self.take(var, f"'{var}'")
+        return coefficient
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -161,84 +172,42 @@ def parse_point(text: str) -> Point:
     return Point(x, y)
 
 
-def _coefficient_then_var(sc: _Scanner, var: str) -> Fraction:
-    """``<r>*var``, ``<r>var``, ``var``, ``-var`` starting at the cursor."""
-    ch = sc.peek()
-    if ch == var:
-        sc.pos += 1
-        return Fraction(1)
-    sign = sc.sign()
-    if sc.peek() == var:
-        sc.pos += 1
-        return Fraction(sign)
-    coeff = sign * sc.unsigned_scalar()
-    sc.maybe_star()
-    sc.take(var, f"'{var}'")
-    return coeff
-
-
 def parse_line_spec(text: str) -> Line:
     """Parse any grammar form into a canonical Line."""
     sc = _Scanner(text)
     head = sc.peek()
-    if head == "x":
-        mark = sc.pos
+    mark = sc.pos
+    if head in ("x", "y"):
         sc.pos += 1
-        if sc.peek() == "=":
-            sc.pos += 1
+        if sc.accept("="):
+            if head == "y":
+                return _parse_slope_form(sc)
             value = sc.scalar()
             sc.expect_end()
             return Line(1, 0, value)
-        sc.pos = mark  # fall through: "x+2y=3" style general form
-    if head == "y":
-        mark = sc.pos
-        sc.pos += 1
-        if sc.peek() == "=":
-            sc.pos += 1
-            return _parse_slope_form(sc)
-        sc.pos = mark
-    return _parse_general_form(sc)
-
-
-def _parse_slope_form(sc: _Scanner) -> Line:
-    # After "y=": either a lone constant, or slope*x then a signed offset.
-    mark = sc.pos
-    if sc.peek() in "+-" or sc.peek().isdigit():
-        try:
-            value = sc.scalar()
-        except ParseError:
-            sc.pos = mark  # a bare sign starts a slope term, e.g. "y=-x+2"
-        else:
-            if sc.at_end():
-                return Line(0, 1, value)
-            sc.pos = mark
-    slope = _coefficient_then_var(sc, "x")
-    if sc.at_end():
-        return Line(-slope, 1, 0)
-    ch = sc.peek()
-    if ch not in "+-":
-        raise ParseError(
-            f"unexpected {sc._describe()}", sc.pos, "'+' or '-' before the offset"
-        )
-    offset = sc.scalar()
-    sc.expect_end()
-    return Line(-slope, 1, offset)
-
-
-def _parse_general_form(sc: _Scanner) -> Line:
-    a = _coefficient_then_var(sc, "x")
-    ch = sc.peek()
-    if ch not in "+-":
-        raise ParseError(
-            f"unexpected {sc._describe()}", sc.pos, "'+' or '-' before the y term"
-        )
-    b_sign = sc.sign()
-    b = b_sign * _coefficient_then_var(sc, "y")
+        sc.pos = mark  # the general form, as in "x+2y=3"
+    a = sc.term("x", sc.sign())
+    b = sc.term("y", sc.signed("the y term"))
     sc.take("=", "'='")
     c = sc.scalar()
     sc.expect_end()
     if a == 0 and b == 0:
-        raise ParseError(
-            "degenerate line", 0, "a nonzero coefficient on x or y"
-        )
+        raise ParseError("degenerate line", 0, "a nonzero coefficient on x or y")
     return Line(a, b, c)
+
+
+def _parse_slope_form(sc: _Scanner) -> Line:
+    # After "y=": a constant, or a slope term and an optional signed offset;
+    # a numeral is the constant only if nothing follows it.
+    sign = sc.sign()
+    if sc.accept("x"):
+        slope = Fraction(sign)
+    else:
+        slope = sign * sc.unsigned_scalar()
+        if not sc.peek():
+            return Line(0, 1, slope)
+        sc.accept("*")
+        sc.take("x", "'x'")
+    offset = sc.signed("the offset") * sc.unsigned_scalar() if sc.peek() else 0
+    sc.expect_end()
+    return Line(-slope, 1, offset)
