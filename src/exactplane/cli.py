@@ -8,9 +8,10 @@ a malformed line or point yields the structured parse error (exit code 2)
 instead of an argparse usage dump.  So does any argv argparse cannot read (a
 missing or unknown flag, ``--trials 0``, an unknown figure or property): the
 parser raises the same ``ParseError``.  A value word that starts with ``-``
-and a digit, such as ``--offset -3/2``, is the flag's value, as in
-``--offset=-3/2``.  Geometry preconditions exit 3, an internal cross-check
-failure exits 4, and a failing check suite exits 1.
+and a Unicode decimal digit or ``x``, such as ``--offset -3/2`` or
+``--line-g -x+2y=3``, is the flag's value, as in ``--offset=-3/2``.
+Geometry preconditions exit 3, an internal cross-check failure exits 4, and
+a failing check suite exits 1.
 
 Each runner hands its result record to ``_report``, the one place that
 decides how a value prints: a point, line or rational as its canonical text
@@ -401,13 +402,14 @@ def _report_error(args, err: GeomError) -> None:
 
 
 def _value_words(argv: Sequence[str]) -> List[str]:
-    """``argv`` with each word that starts with ``-`` and a digit, such as
-    ``-3/2``, joined to the ``--flag`` before it as ``--flag=-3/2``: argparse
-    takes only a plain negative number for a value, and other such words
-    for flags."""
+    """``argv`` with each word that starts with ``-`` and a Unicode decimal
+    digit (any digit ``textio`` reads) or ``x``, such as ``-3/2``, ``-٣`` or
+    ``-x+2y=3``, joined to the ``--flag`` before it as ``--flag=-3/2``:
+    argparse takes only a plain negative number for a value, and other such
+    words for flags."""
     words: List[str] = []
     for word in argv:
-        if words and re.fullmatch(r"--[\w-]+", words[-1]) and re.match(r"-[0-9]", word):
+        if words and re.fullmatch(r"--[\w-]+", words[-1]) and re.match(r"-[\dx]", word):
             words[-1] += f"={word}"
         else:
             words.append(word)

@@ -33,9 +33,8 @@ from .kernel import (
     Y_AXIS,
     Line,
     Point,
-    intersect,
-    is_parallel,
     line_from_points,
+    midpoint,
     parallel_through,
     scalar,
 )
@@ -119,24 +118,17 @@ _STYLE = """
 
 
 def clip_to_viewport(l: Line, vp: Viewport) -> Optional[Tuple[Point, Point]]:
-    """The (exact) segment of a line inside the viewport box, if any."""
-    borders = (
-        Line(1, 0, vp.xmin),
-        Line(1, 0, vp.xmax),
-        Line(0, 1, vp.ymin),
-        Line(0, 1, vp.ymax),
-    )
+    """The exact segment of ``a*x + b*y = c`` in the viewport box: the first and
+    last, in ``(x, y)`` order, of the distinct crossings the box covers, at
+    ``y = (c - a*x)/b`` on ``x = xmin, xmax`` if ``b != 0`` and at
+    ``x = (c - b*y)/a`` on ``y = ymin, ymax`` if ``a != 0``; None for fewer than two."""
     hits: List[Point] = []
-    for border in borders:
-        if is_parallel(l, border):
-            continue
-        q = intersect(l, border)
-        if vp.covers(q) and q not in hits:
-            hits.append(q)
-    if len(hits) < 2:
-        return None
-    hits.sort(key=lambda p: (p.x, p.y))
-    return hits[0], hits[-1]
+    if l.b:
+        hits += [Point(x, (l.c - l.a * x) / l.b) for x in (vp.xmin, vp.xmax)]
+    if l.a:
+        hits += [Point((l.c - l.b * y) / l.a, y) for y in (vp.ymin, vp.ymax)]
+    hits = sorted({q for q in hits if vp.covers(q)}, key=lambda p: (p.x, p.y))
+    return (hits[0], hits[-1]) if len(hits) > 1 else None
 
 
 def _emit_segment(out: List[str], vp: Viewport, a: Point, b: Point, css: str) -> None:
@@ -174,9 +166,7 @@ def render_svg(title: str, elements: Sequence[Element], vp: Viewport) -> str:
                 continue
             _emit_segment(out, vp, seg[0], seg[1], el.css)
             if el.label:
-                mx, my = vp.to_px(
-                    Point((seg[0].x + seg[1].x) / 2, (seg[0].y + seg[1].y) / 2)
-                )
+                mx, my = vp.to_px(midpoint(seg[0], seg[1]))
                 out.append(
                     f'  <text x="{_fmt(mx + 5)}" y="{_fmt(my - 5)}">{el.label}</text>'
                 )

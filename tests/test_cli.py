@@ -330,6 +330,7 @@ class TestArgvErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--offset", "-3/2"), ("--offset", "-3"), ("--line-g", "-2x+y=4"),
+        ("--offset", "-٣/2"), ("--line-g", "-x+1/2y=2"),
     ])
     def test_negative_value_as_its_own_word(self, flag, value, capsys):
         argv = [

@@ -1,9 +1,10 @@
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from exactplane import Line, Point
+from exactplane import Line, Point, intersect, is_parallel, line_from_points
 from exactplane.figures import Viewport, render_figure, render_svg
 from exactplane.figures import (
     LineElement,
@@ -80,6 +81,89 @@ class TestClipping:
         # touches the viewport only at one corner
         corner_line = Line(1, 1, 12)  # x + y = 12 meets the box at (6, 6) alone
         assert clip_to_viewport(corner_line, self.VP) is None
+
+    def test_right_edge_clips_to_the_whole_edge(self):
+        seg = clip_to_viewport(Line(1, 0, 6), self.VP)  # x = xmax
+        assert seg == (Point(6, -6), Point(6, 6))
+
+
+def four_border_clip(l: Line, vp: Viewport):
+    """The reference clip: ``l`` against four border lines by general
+    intersection, keeping distinct crossings inside the box."""
+    borders = (
+        Line(1, 0, vp.xmin),
+        Line(1, 0, vp.xmax),
+        Line(0, 1, vp.ymin),
+        Line(0, 1, vp.ymax),
+    )
+    hits = []
+    for border in borders:
+        if is_parallel(l, border):
+            continue
+        q = intersect(l, border)
+        if vp.covers(q) and q not in hits:
+            hits.append(q)
+    if len(hits) < 2:
+        return None
+    hits.sort(key=lambda p: (p.x, p.y))
+    return hits[0], hits[-1]
+
+
+CLIP_VIEWPORTS = (
+    Viewport(),
+    Viewport(xmin=Fraction(-8), xmax=Fraction(8), ymin=Fraction(-8), ymax=Fraction(8)),
+    Viewport(xmin=Fraction(-1, 3), xmax=Fraction(7, 2), ymin=Fraction(2), ymax=Fraction(5)),
+)
+
+
+def clip_lines(seed: int, count: int):
+    """``count`` seeded lines: horizontal, vertical, sloped, through a corner
+    of a ``CLIP_VIEWPORTS`` box, and on a box edge, with coordinates that
+    often hit the boxes' own bounds."""
+    rnd = random.Random(seed)
+    bounds = sorted({b for vp in CLIP_VIEWPORTS for b in (vp.xmin, vp.xmax, vp.ymin, vp.ymax)})
+    corners = [Point(x, y) for vp in CLIP_VIEWPORTS
+               for x in (vp.xmin, vp.xmax) for y in (vp.ymin, vp.ymax)]
+
+    def value():
+        if rnd.random() < 0.3:
+            return rnd.choice(bounds)
+        return Fraction(rnd.randint(-60, 60), rnd.randint(1, 6))
+
+    def coeff():
+        return Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 12), rnd.randint(1, 4))
+
+    lines = [Line(1, 0, b) for b in bounds] + [Line(0, 1, b) for b in bounds]
+    while len(lines) < count:
+        kind = rnd.randrange(5)
+        if kind == 0:
+            lines.append(Line(0, 1, value()))
+        elif kind == 1:
+            lines.append(Line(1, 0, value()))
+        elif kind == 2:
+            lines.append(Line(coeff(), coeff(), value()))
+        elif kind == 3:
+            q = rnd.choice(corners)
+            a, b = coeff(), coeff()
+            lines.append(Line(a, b, a * q.x + b * q.y))
+        else:
+            lines.append(line_from_points(*rnd.sample(corners, 2)))
+    return lines
+
+
+def test_clip_matches_the_four_border_reference():
+    lines = clip_lines(seed=19, count=5000)
+    kinds = {(l.a == 0, l.b == 0) for l in lines}
+    assert kinds == {(True, False), (False, True), (False, False)}
+    for vp in CLIP_VIEWPORTS:
+        corners = [Point(x, y) for x in (vp.xmin, vp.xmax) for y in (vp.ymin, vp.ymax)]
+        edges = {Line(1, 0, vp.xmin), Line(1, 0, vp.xmax), Line(0, 1, vp.ymin), Line(0, 1, vp.ymax)}
+        assert edges <= set(lines)
+        through_corner = 0
+        for l in lines:
+            assert clip_to_viewport(l, vp) == four_border_clip(l, vp), (l, vp)
+            through_corner += any(l.evaluate(q) == 0 for q in corners)
+        assert through_corner >= 500
 
 
 class TestRenderSvg:

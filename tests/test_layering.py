@@ -6,7 +6,10 @@ geometry module names ``textio``, ``figures``, ``checks`` or ``cli``, if
 ``textio`` (whose flag rule ``cli`` and ``checks`` share) names ``figures``,
 ``checks`` or ``cli``, or if ``figures`` or ``checks`` names the other or
 ``cli``.  The package root names none of ``checks``, ``figures`` or ``cli``,
-and a fresh interpreter loads ``checks`` only for ``exactplane check``.
+and a fresh interpreter loads ``checks`` only for ``exactplane check``.  No
+module of the package, the root included, imports ``exactplane`` by absolute
+name, so a second copy of the package can load under another name without
+reaching back into the first.
 Among the geometry modules, each general construction stays below
 its coordinate-axis case: ``parallelogram_axis`` below ``parallelogram``,
 and ``axis_projection`` below ``double_projection``.  The closed forms and
@@ -78,6 +81,12 @@ def test_presentation_module_imports_no_layer_above_it(module):
 def test_package_root_imports_no_check_engine_renderer_or_cli():
     offending = offending_imports("__init__", {"checks", "figures", "cli"})
     assert offending == [], f"exactplane/__init__.py imports {offending}"
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_module_imports_the_package_only_by_relative_name(module):
+    absolute = [name for name in imported_modules(module) if name.split(".")[0] == "exactplane"]
+    assert absolute == [], f"{module} imports {absolute} by absolute name"
 
 
 # what each kind of run leaves in sys.modules of a fresh interpreter
