@@ -48,6 +48,7 @@ from .figures import (
     Viewport,
     axis_projection_elements,
     axis_strip_elements,
+    render_figure,
     render_svg,
     strip_elements,
     transversal_elements,
@@ -294,8 +295,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    title, elements, default_vp = FIGURES[args.name]()
-    svg = render_svg(title, elements, _viewport(args, default_vp))
+    # the flags lay over the figure's own viewport, read before it is built
+    svg = render_figure(args.name, _viewport(args, FIGURES[args.name][2]))
     if args.svg_out:
         _write_svg_out(args.svg_out, svg)
     else:

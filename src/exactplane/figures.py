@@ -314,17 +314,16 @@ def axis_strip_elements(result: AxisParallelogram) -> List[Element]:
     ]
 
 
-def _figure_one() -> Tuple[str, List[Element], Viewport]:
+def _figure_one() -> List[Element]:
     scene = TransversalScene(
         g_s=Line(-2, 1, 4), g_t=Line(-2, 1, 2), l=Line(0, 1, 1)
     )
-    elements = transversal_elements(
+    return transversal_elements(
         scene, [p_hor(scene), p_ver(scene)], mark_intercepts=True
     )
-    return "Two distinguished points on a transversal", elements, Viewport()
 
 
-def _figure_two() -> Tuple[str, List[Element], Viewport]:
+def _figure_two() -> List[Element]:
     scene = AxisScene(
         g_s=Line(-1, 1, 2),
         g_t=Line(-1, 1, -1),
@@ -332,27 +331,17 @@ def _figure_two() -> Tuple[str, List[Element], Viewport]:
         axis=Line(1, -3, 3),
         origin=Point(3, 0),
     )
-    result = construct_p(scene)
-    return (
-        "The construction relative to a slanted axis",
-        axis_projection_elements(result),
-        Viewport(),
-    )
+    return axis_projection_elements(construct_p(scene))
 
 
-def _figure_three() -> Tuple[str, List[Element], Viewport]:
+def _figure_three() -> List[Element]:
     scene = StripScene(
         g=Line(-2, 1, 4), p=Line(-2, 1, 2), epsilon=Fraction(4), sample=Point(0, 4)
     )
-    witness = build_witness(scene)
-    return (
-        "The parallelogram and its invariant intercept",
-        strip_elements(scene, witness),
-        Viewport(),
-    )
+    return strip_elements(scene, build_witness(scene))
 
 
-def _figure_four() -> Tuple[str, List[Element], Viewport]:
+def _figure_four() -> List[Element]:
     scene = AxisStripScene(
         g=Line(-2, 1, 4),
         p=Line(-2, 1, 2),
@@ -361,29 +350,28 @@ def _figure_four() -> Tuple[str, List[Element], Viewport]:
         offset=Fraction(3),
         sample=Point(0, 4),
     )
-    result = nu_general(scene)
-    return (
+    return axis_strip_elements(nu_general(scene))
+
+
+# name -> (title, build, default viewport); build() returns the elements
+FIGURES: Dict[str, Tuple[str, Callable[[], List[Element]], Viewport]] = {
+    "pic1": ("Two distinguished points on a transversal", _figure_one, Viewport()),
+    "pic2": ("The construction relative to a slanted axis", _figure_two, Viewport()),
+    "pic3": ("The parallelogram and its invariant intercept", _figure_three, Viewport()),
+    "pic4": (
         "The parallelogram intercept relative to a slanted axis",
-        axis_strip_elements(result),
-        Viewport(xmin=Fraction(-8), xmax=Fraction(8), ymin=Fraction(-8), ymax=Fraction(8)),
-    )
-
-
-FIGURES: Dict[str, Callable[[], Tuple[str, List[Element], Viewport]]] = {
-    "pic1": _figure_one,
-    "pic2": _figure_two,
-    "pic3": _figure_three,
-    "pic4": _figure_four,
+        _figure_four,
+        Viewport(-8, 8, -8, 8),
+    ),
 }
 
 
 def render_figure(name: str, vp: Optional[Viewport] = None) -> str:
     """Render a built-in figure; ``vp`` overrides its default viewport."""
     try:
-        builder = FIGURES[name]
+        title, build, default_vp = FIGURES[name]
     except KeyError:
         raise ValueError(
             f"unknown figure {name!r}; available: {', '.join(sorted(FIGURES))}"
         ) from None
-    title, elements, default_vp = builder()
-    return render_svg(title, elements, vp if vp is not None else default_vp)
+    return render_svg(title, build(), vp if vp is not None else default_vp)

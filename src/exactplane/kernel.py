@@ -84,11 +84,6 @@ class Direction:
         if self.dx == 0 and self.dy == 0:
             raise ValueError("direction cannot be the zero vector")
 
-    def canonical(self) -> "Direction":
-        """Scale so the first nonzero component equals 1."""
-        factor = self.dx if self.dx != 0 else self.dy
-        return Direction(self.dx / factor, self.dy / factor)
-
     def __repr__(self) -> str:
         return f"Direction({exact_str(self.dx)}, {exact_str(self.dy)})"
 
@@ -137,8 +132,8 @@ class Line:
         return self.c / self.b
 
     def direction(self) -> Direction:
-        """Canonical direction vector of the line."""
-        return Direction(-self.b, self.a).canonical()
+        """Canonical direction vector of the line: first nonzero component 1."""
+        return Direction(1, self.slope()) if self.b else Direction(0, 1)
 
     def evaluate(self, p: Point) -> Fraction:
         """Signed value ``a*x + b*y - c`` under the canonical orientation."""

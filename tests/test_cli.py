@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from exactplane.figures import render_figure
+from exactplane import figures
+from exactplane.figures import Viewport, render_figure
 from exactplane.cli import main
 
 BASE = [sys.executable, "-m", "exactplane.cli"]
@@ -199,6 +200,25 @@ class TestFigureCommand:
         default = run_cli("figure", "pic1").stdout
         wide = run_cli("figure", "pic1", "--xmin", "-20", "--xmax", "20").stdout
         assert wide != default
+
+    def test_viewport_flag_lays_over_the_figure_viewport(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["figure", "pic4", "--width", "300"]) == 0
+        assert buf.getvalue() == render_figure("pic4", Viewport(-8, 8, -8, 8, width=300))
+
+    def test_bad_viewport_flag_fails_before_the_construction(self, monkeypatch, capsys):
+        calls = []
+        construct_p = figures.construct_p
+        monkeypatch.setattr(
+            figures, "construct_p", lambda scene: calls.append(scene) or construct_p(scene)
+        )
+        assert main(["figure", "pic2", "--width", "abc"]) == 2
+        assert "E_PARSE" in capsys.readouterr().err
+        assert calls == []
+        # the counter sees the construction a good run makes
+        assert main(["figure", "pic2", "--width", "300"]) == 0
+        assert len(calls) == 1
 
     def test_unknown_figure_is_2(self):
         r = run_cli("figure", "pic99")

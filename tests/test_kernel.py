@@ -75,6 +75,14 @@ class TestLineCanonicalization:
         assert (d.dx, d.dy) == (1, 2)
         d = Line(1, 0, 3).direction()  # vertical
         assert (d.dx, d.dy) == (0, 1)
+        d = Line(0, 2, 3).direction()  # horizontal
+        assert (d.dx, d.dy) == (1, 0)
+
+    @given(lines)
+    def test_direction_is_canonical_and_along_the_line(self, l):
+        d = l.direction()
+        assert (d.dx if d.dx != 0 else d.dy) == 1
+        assert l.a * d.dx + l.b * d.dy == 0
 
 
 class TestIncidence:

@@ -33,6 +33,7 @@ from exactplane import (  # noqa: E402
     s_bar_t_bar_closed_form,
     swap_line,
 )
+from exactplane.axis_projection import _ray_denominator  # noqa: E402
 
 
 def _exact(expr, values) -> Fraction:
@@ -334,6 +335,8 @@ sx, sy, wx, wy, tau = sympy.symbols("sx sy wx wy tau")
 O, D, W = (ox, oy), (dx, dy), (wx, wy)
 S = (sx, sy)
 T = (sx + tau * wx, sy + tau * wy)
+# the transversal's equation wy*(x - sx) - wx*(y - sy) = 0, at the center
+L_AT_O = wy * (ox - sx) - wx * (oy - sy)
 
 
 def _minus(u, v):
@@ -369,10 +372,33 @@ def _length_sq(u):
 
 class TestGeneralElimination:
     """The paper's first proposition on any axis and center: the two
-    eliminations agree, and their point meets verify_p2's distance claims."""
+    eliminations agree, each fixes the point uniquely, and their point meets
+    verify_p2's distance claims."""
 
     def test_identity(self):
         assert sympy.cancel(RHO_1 - RHO_2) == 0
+
+    @pytest.mark.parametrize(
+        "point", [S, T, _along(S, W, sympy.Symbol("u"))], ids=["S", "T", "any-point-of-l"]
+    )
+    def test_ray_denominator_is_the_transversal_at_the_center(self, point):
+        # w x (X - O) = l(O) for every X on l, so it vanishes exactly when the
+        # center is on l, which AxisScene and TransversalScene reject
+        assert sympy.expand(_cross(W, _minus(point, O)) - L_AT_O) == 0
+
+    @pytest.mark.parametrize(
+        "crossing, ray_point, rho", [(S_AXIS, T, RHO_1), (T_AXIS, S, RHO_2)],
+        ids=["rho_1", "rho_2"],
+    )
+    def test_each_condition_fixes_rho(self, crossing, ray_point, rho):
+        # P - crossing parallel to ray_point - O is linear in P's ray
+        # parameter with the nonzero coefficient l(O): its one root is rho,
+        # so P is unique (Proposition 1)
+        r = sympy.Symbol("r")
+        condition = _cross(_minus(_along(S, W, r), crossing), _minus(ray_point, O))
+        assert sympy.diff(condition, r, 2) == 0
+        assert sympy.expand(sympy.diff(condition, r) - L_AT_O) == 0
+        assert sympy.cancel(condition.subs(r, rho)) == 0
 
     @pytest.mark.parametrize(
         "companion, crossing", [(S, T_AXIS), (T, S_AXIS)], ids=["distance_t", "distance_s"]
@@ -391,8 +417,9 @@ class TestGeneralElimination:
             {a: Fraction(2, 3), b: 1, sx: -2, sy: Fraction(1, 2), wx: 3, wy: Fraction(-1, 4),
              tau: Fraction(-5, 3), ox: Fraction(1, 3), oy: -2, dx: 1, dy: Fraction(2, 5)},
             {a: 1, b: 0, sx: 2, sy: 5, wx: 1, wy: 3, tau: -4, ox: 0, oy: 0, dx: 1, dy: 0},
+            {a: -1, b: 1, sx: 2, sy: 5, wx: 0, wy: 1, tau: -4, ox: 0, oy: 0, dx: 1, dy: 0},
         ],
-        ids=["slanted", "mixed", "vertical-pair-x-axis"],
+        ids=["slanted", "mixed", "vertical-pair-x-axis", "vertical-transversal"],
     )
     def test_the_library_computes_the_same_point(self, values):
         v = {sym: Fraction(value) for sym, value in values.items()}
@@ -406,6 +433,13 @@ class TestGeneralElimination:
             origin=Point(v[ox], v[oy]),
         )
         assert _exact(RHO_1, values) == _exact(RHO_2, values)
+        # the library's denominator, for the canonical w = W / (wx or wy),
+        # is l(O) over l's canonical scale: -b, or a for a vertical l
+        l, o = scene.l, scene.origin
+        at_center = _exact(L_AT_O, values) / (v[wx] or v[wy])
+        assert l.evaluate(o) / (-l.b if l.b else l.a) == at_center
+        for q in (s, t):
+            assert _ray_denominator(l.direction(), q.x - o.x, q.y - o.y) == at_center
         result = construct_p(scene)
         assert result.case_tag is AxisCase.MAIN
         for got, want in [
